@@ -32,10 +32,10 @@ from .nerve import (
 from .ruth import (
     NotQuasiIsoError,
     as_lax_functor,
+    components_to_transformation,
     double_rep,
     lines_projection_rep,
     lines_projection_scalars,
-    morphism_to_transformation,
     pseudofunctor_to_ruth,
     ruth_to_pseudofunctor,
     transformation_to_morphism,
@@ -167,9 +167,9 @@ def _convert(direction: str, payload: dict) -> tuple[str, dict]:
         bad = verify_morphism(m)
         if bad:
             _semantic(bad)
-        h = morphism_to_transformation(m)
         src = ruth_to_pseudofunctor(m.src)
         dst = ruth_to_pseudofunctor(m.dst)
+        h = components_to_transformation(src, dst, m.theta1, m.theta0, m.mu)
         return "morphism", docs.encode_lax_morphism(src, dst, h.at_obj, h.at_arrow)
     src, dst, at_obj, at_arrow = docs.decode_lax_morphism(payload)
     h = LaxTransformation(at_obj, at_arrow)
@@ -324,7 +324,9 @@ def generate(example, out, seed, points, n, lines):
 
 @main.command()
 @click.argument("path", type=click.Path())
-@click.option("--level", type=int, default=3, help="enumerate levels up to here")
+@click.option(
+    "--level", type=click.IntRange(min=0), default=3, help="enumerate levels up to here"
+)
 def nerve(path, level):
     """Enumerate and validate the nerve of a two-category document."""
     kind, payload = _read(path)
@@ -337,11 +339,13 @@ def nerve(path, level):
     bad = verify_2groupoid(c) if isinstance(c, Fin2Groupoid) else verify_2category(c)
     if bad:
         _semantic(bad)
-    if level < 0:
-        _semantic(["level must not be negative"])
     handle = TableHandle(c)
     for lv in range(level + 1):
-        simplices = enumerate_nerve(handle, lv)
+        try:
+            simplices = enumerate_nerve(handle, lv)
+        except NoFillerError as e:
+            # from level 3 on, enumeration inverts the triangles' 2-cells
+            _structural(str(e))
         for s in simplices:
             broken = validate_simplex(handle, s)
             if broken:

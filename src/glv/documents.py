@@ -13,12 +13,15 @@ Structural problems, such as missing or unknown fields, malformed scalars,
 wrong matrix shapes and names that do not resolve, raise DocumentError.
 Payloads that are well formed but violate an equation of the objects they
 describe either surface through the verifiers or, for the checked GL
-constructors, as ValueError naming the offending piece.
+constructors, as ValueError naming the offending piece.  Functor and lax
+morphism payloads are parsed into matrices and handed to the translation
+in ruth.py, which builds their GL cells.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -27,7 +30,13 @@ from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
 from .groupoid import FinGroupoid
 from .linalg import RatMatrix
 from .nerve import Horn, SimplexLabel, make_horn, make_simplex
-from .ruth import PseudoFunctorGL, Ruth2, RuthMorphism
+from .ruth import (
+    PseudoFunctorGL,
+    Ruth2,
+    RuthMorphism,
+    components_to_transformation,
+    ruth_to_pseudofunctor,
+)
 from .twocat import Fin2Cat, Fin2Groupoid
 
 VERSION = "1"
@@ -106,11 +115,17 @@ def scalar_to_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
+_SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INDEX = re.compile(r"0|[1-9][0-9]*")
+
+
 def scalar_from_str(s, where: str) -> Fraction:
     text = _as_str(s, where)
+    if not _SCALAR.fullmatch(text):
+        raise DocumentError(f"{where}: bad scalar {text!r}: expected p or p/q")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
+    except ZeroDivisionError as e:
         raise DocumentError(f"{where}: bad scalar {text!r}: {e}") from e
 
 
@@ -343,24 +358,39 @@ def decode_two_category(obj, where: str = "payload") -> Fin2Cat:
 # representations up to homotopy and pseudo-functors
 
 
-def _check_fibers_total(fibers: dict, g: FinGroupoid, where: str) -> None:
-    if set(fibers) != set(g.objects):
-        raise DocumentError(f"{where}: keys do not match the groupoid objects")
+def _groupoid_and_fibers(d: dict, where: str) -> tuple[FinGroupoid, dict]:
+    g = decode_groupoid(d["groupoid"], f"{where}.groupoid")
+    raw = _as_dict(d["fibers"], f"{where}.fibers")
+    if set(raw) != set(g.objects):
+        raise DocumentError(f"{where}.fibers: keys do not match the groupoid objects")
+    return g, {x: fiber_from_json(v, f"{where}.fibers.{x}") for x, v in raw.items()}
 
 
-def _arrow_matrices_from_json(obj, g, fibers, degree: int, where: str) -> dict:
-    """Per-arrow matrices in one degree, shaped by the surrounding fibers."""
+def _arrow_matrices_from_json(obj, g, shape, where: str) -> dict:
+    """Per-arrow matrices, shape(x, y) giving (rows, cols) for an arrow x -> y."""
     out = {}
     for a, raw in _as_dict(obj, where).items():
         if a not in g.arrows:
             raise DocumentError(f"{where}: unknown arrow {a!r}")
-        x, y = g.arrows[a]
-        if degree == 1:
-            rows, cols = fibers[y].dim1, fibers[x].dim1
-        else:
-            rows, cols = fibers[y].dim0, fibers[x].dim0
+        rows, cols = shape(*g.arrows[a])
         out[a] = matrix_from_lists(raw, rows, cols, f"{where}.{a}")
     return out
+
+
+def _chain_maps_from_json(obj, ends: Mapping, what: str, where: str) -> tuple[dict, dict]:
+    """Objects {"a1": ..., "a0": ...} keyed exactly like ends, which maps each
+    key to the (source, target) fibers; returns the two degrees' matrices."""
+    raw = _as_dict(obj, where)
+    if set(raw) != set(ends):
+        raise DocumentError(f"{where}: keys do not match the {what}")
+    a1, a0 = {}, {}
+    for key in sorted(raw):
+        spot = f"{where}.{key}"
+        pair = _fields(raw[key], spot, ("a1", "a0"))
+        fx, fy = ends[key]
+        a1[key] = matrix_from_lists(pair["a1"], fy.dim1, fx.dim1, f"{spot}.a1")
+        a0[key] = matrix_from_lists(pair["a0"], fy.dim0, fx.dim0, f"{spot}.a0")
+    return a1, a0
 
 
 def _corrections_from_json(obj, g, fibers, where: str) -> dict:
@@ -389,12 +419,13 @@ def encode_ruth(r: Ruth2) -> dict:
 
 def decode_ruth(obj, where: str = "payload") -> Ruth2:
     d = _fields(obj, where, ("groupoid", "fibers", "rho1", "rho0", "gamma"))
-    g = decode_groupoid(d["groupoid"], f"{where}.groupoid")
-    raw_fibers = _as_dict(d["fibers"], f"{where}.fibers")
-    _check_fibers_total(raw_fibers, g, f"{where}.fibers")
-    fibers = {x: fiber_from_json(v, f"{where}.fibers.{x}") for x, v in raw_fibers.items()}
-    rho1 = _arrow_matrices_from_json(d["rho1"], g, fibers, 1, f"{where}.rho1")
-    rho0 = _arrow_matrices_from_json(d["rho0"], g, fibers, 0, f"{where}.rho0")
+    g, fibers = _groupoid_and_fibers(d, where)
+    rho1 = _arrow_matrices_from_json(
+        d["rho1"], g, lambda x, y: (fibers[y].dim1, fibers[x].dim1), f"{where}.rho1"
+    )
+    rho0 = _arrow_matrices_from_json(
+        d["rho0"], g, lambda x, y: (fibers[y].dim0, fibers[x].dim0), f"{where}.rho0"
+    )
     gamma = _corrections_from_json(d["gamma"], g, fibers, f"{where}.gamma")
     return Ruth2(g, fibers, rho1, rho0, gamma)
 
@@ -412,47 +443,18 @@ def encode_functor(p: PseudoFunctorGL) -> dict:
 
 
 def decode_functor(obj, where: str = "payload") -> PseudoFunctorGL:
-    """Rebuild a pseudo-functor through the checked GL constructors.
+    """Parse the matrices and build the pseudo-functor with ruth_to_pseudofunctor.
 
     Shapes are validated here and raise DocumentError; the chain map and
-    homotopy equations are enforced by the constructors and surface as
+    homotopy equations are enforced by the GL constructors and surface as
     ValueError naming the arrow or pair, so that verification can report
     them as violations rather than parse failures."""
     d = _fields(obj, where, ("groupoid", "fibers", "arrows", "compare"))
-    g = decode_groupoid(d["groupoid"], f"{where}.groupoid")
-    raw_fibers = _as_dict(d["fibers"], f"{where}.fibers")
-    _check_fibers_total(raw_fibers, g, f"{where}.fibers")
-    fibers = {x: fiber_from_json(v, f"{where}.fibers.{x}") for x, v in raw_fibers.items()}
-    at_obj = {x: GLObject(x, f) for x, f in fibers.items()}
-
-    raw_arrows = _as_dict(d["arrows"], f"{where}.arrows")
-    if set(raw_arrows) != set(g.arrows):
-        raise DocumentError(f"{where}.arrows: keys do not match the groupoid arrows")
-    at_arrow = {}
-    for a in sorted(raw_arrows):
-        spot = f"{where}.arrows.{a}"
-        pair = _fields(raw_arrows[a], spot, ("a1", "a0"))
-        x, y = g.arrows[a]
-        a1 = matrix_from_lists(pair["a1"], fibers[y].dim1, fibers[x].dim1, f"{spot}.a1")
-        a0 = matrix_from_lists(pair["a0"], fibers[y].dim0, fibers[x].dim0, f"{spot}.a0")
-        try:
-            at_arrow[a] = GLArrow(at_obj[x], at_obj[y], ChainMap2(fibers[x], fibers[y], a1, a0))
-        except ValueError as e:
-            raise ValueError(f"arrow {a} does not give a valid map: {e}") from e
-
-    comp_cell = {}
-    for (h, a), m in _corrections_from_json(
-        d["compare"], g, fibers, f"{where}.compare"
-    ).items():
-        try:
-            comp_cell[(h, a)] = GL2Cell(
-                at_arrow[g.compose(h, a)],
-                compose_arrows(at_arrow[h], at_arrow[a]),
-                m,
-            )
-        except ValueError as e:
-            raise ValueError(f"pair ({h}, {a}) does not give a valid correction: {e}") from e
-    return PseudoFunctorGL(g, at_obj, at_arrow, comp_cell)
+    g, fibers = _groupoid_and_fibers(d, where)
+    ends = {a: (fibers[x], fibers[y]) for a, (x, y) in g.arrows.items()}
+    rho1, rho0 = _chain_maps_from_json(d["arrows"], ends, "groupoid arrows", f"{where}.arrows")
+    gamma = _corrections_from_json(d["compare"], g, fibers, f"{where}.compare")
+    return ruth_to_pseudofunctor(Ruth2(g, fibers, rho1, rho0, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +466,9 @@ def _index_key(indices: tuple) -> str:
 
 
 def _indices_from_key(key: str, length: int, where: str) -> tuple:
-    parts = key.split(",")
     out = []
-    for p in parts:
-        if not p.isdigit():
+    for p in key.split(","):
+        if not _INDEX.fullmatch(p):
             raise DocumentError(f"{where}: bad index key {key!r}")
         out.append(int(p))
     if len(out) != length or list(out) != sorted(out, reverse=True) or len(set(out)) != length:
@@ -696,15 +697,15 @@ def decode_ruth_morphism(obj, where: str = "payload") -> RuthMorphism:
     g = src.groupoid
     theta1 = _point_matrices_from_json(d["theta1"], g, src.fibers, dst.fibers, 1, f"{where}.theta1")
     theta0 = _point_matrices_from_json(d["theta0"], g, src.fibers, dst.fibers, 0, f"{where}.theta0")
-    mu = {}
-    for a, raw in _as_dict(d["mu"], f"{where}.mu").items():
-        if a not in g.arrows:
-            raise DocumentError(f"{where}.mu: unknown arrow {a!r}")
-        x, y = g.arrows[a]
-        mu[a] = matrix_from_lists(
-            raw, dst.fibers[y].dim1, src.fibers[x].dim0, f"{where}.mu.{a}"
-        )
+    mu = _homotopies_from_json(d["mu"], g, src.fibers, dst.fibers, f"{where}.mu")
     return RuthMorphism(src, dst, theta1, theta0, mu)
+
+
+def _homotopies_from_json(obj, g, src_fibers, dst_fibers, where) -> dict:
+    """Per-arrow matrices V0(x) -> V1'(y) of a morphism's naturality cells."""
+    return _arrow_matrices_from_json(
+        obj, g, lambda x, y: (dst_fibers[y].dim1, src_fibers[x].dim0), where
+    )
 
 
 def decode_lax_morphism(obj, where: str = "payload"):
@@ -712,8 +713,9 @@ def decode_lax_morphism(obj, where: str = "payload"):
 
     at_obj maps each point to a GLArrow between the fibers; at_arrow maps
     each groupoid arrow f: x -> y to the GL2Cell H_y rho(f) => rho'(f) H_x.
-    Component maps that fail to be quasi-isomorphisms, or cell matrices
-    that fail the homotopy equations, surface as ValueError."""
+    Both are built by components_to_transformation: component maps that
+    fail to be quasi-isomorphisms, or cell matrices that fail the homotopy
+    equations, surface as ValueError."""
     d = _fields(obj, where, ("style", "source", "target", "components", "cells"))
     if d["style"] != "lax":
         raise DocumentError(f"{where}.style: expected 'lax'")
@@ -722,41 +724,13 @@ def decode_lax_morphism(obj, where: str = "payload"):
     if src.groupoid != dst.groupoid:
         raise DocumentError(f"{where}: source and target live over different groupoids")
     g = src.groupoid
-    raw_comp = _as_dict(d["components"], f"{where}.components")
-    if set(raw_comp) != set(g.objects):
-        raise DocumentError(f"{where}.components: keys do not match the objects")
-    at_obj = {}
-    for x in sorted(raw_comp):
-        spot = f"{where}.components.{x}"
-        pair = _fields(raw_comp[x], spot, ("a1", "a0"))
-        fx, gx = src.at_obj[x].fiber, dst.at_obj[x].fiber
-        a1 = matrix_from_lists(pair["a1"], gx.dim1, fx.dim1, f"{spot}.a1")
-        a0 = matrix_from_lists(pair["a0"], gx.dim0, fx.dim0, f"{spot}.a0")
-        try:
-            at_obj[x] = GLArrow(src.at_obj[x], dst.at_obj[x], ChainMap2(fx, gx, a1, a0))
-        except ValueError as e:
-            raise ValueError(f"component at {x} does not give a valid map: {e}") from e
-    raw_cells = _as_dict(d["cells"], f"{where}.cells")
-    at_arrow = {}
-    for a in sorted(raw_cells):
-        if a not in g.arrows:
-            raise DocumentError(f"{where}.cells: unknown arrow {a!r}")
-        x, y = g.arrows[a]
-        m = matrix_from_lists(
-            raw_cells[a],
-            dst.at_obj[y].fiber.dim1,
-            src.at_obj[x].fiber.dim0,
-            f"{where}.cells.{a}",
-        )
-        try:
-            at_arrow[a] = GL2Cell(
-                compose_arrows(at_obj[y], src.at_arrow[a]),
-                compose_arrows(dst.at_arrow[a], at_obj[x]),
-                m,
-            )
-        except ValueError as e:
-            raise ValueError(f"cell at {a} does not give a valid homotopy: {e}") from e
-    return src, dst, at_obj, at_arrow
+    sf = {x: o.fiber for x, o in src.at_obj.items()}
+    df = {x: o.fiber for x, o in dst.at_obj.items()}
+    ends = {x: (sf[x], df[x]) for x in g.objects}
+    theta1, theta0 = _chain_maps_from_json(d["components"], ends, "objects", f"{where}.components")
+    mu = _homotopies_from_json(d["cells"], g, sf, df, f"{where}.cells")
+    h = components_to_transformation(src, dst, theta1, theta0, mu)
+    return src, dst, h.at_obj, h.at_arrow
 
 
 # ---------------------------------------------------------------------------

@@ -199,32 +199,3 @@ def quasi_inverse(f: GLArrow) -> QuasiInverse:
     counit = GL2Cell(identity_arrow(f.dst), compose_arrows(f, g), ry)
     return QuasiInverse(g, unit, counit)
 
-
-def fill_horn20(alpha: GLArrow, gamma: GLArrow) -> tuple[GLArrow, GL2Cell]:
-    """Fill the outer 2-horn missing the face opposite vertex 0.
-
-    Given alpha: x -> y and gamma: x -> z, returns beta: y -> z and a 2-cell
-    gamma => beta . alpha, namely beta = gamma . inv(alpha) and the left
-    whiskering of the unit by gamma.
-    """
-    if alpha.src != gamma.src:
-        raise ValueError("horn edges do not share vertex 0")
-    qi = quasi_inverse(alpha)
-    beta = compose_arrows(gamma, qi.inverse)
-    cell = whisker_left(gamma, qi.unit)
-    return beta, cell
-
-
-def fill_horn22(gamma: GLArrow, beta: GLArrow) -> tuple[GLArrow, GL2Cell]:
-    """Fill the outer 2-horn missing the face opposite vertex 2.
-
-    Given gamma: x -> z and beta: y -> z, returns alpha: x -> y and a 2-cell
-    gamma => beta . alpha, namely alpha = inv(beta) . gamma and the right
-    whiskering of the counit by gamma.
-    """
-    if beta.dst != gamma.dst:
-        raise ValueError("horn edges do not share vertex 2")
-    qi = quasi_inverse(beta)
-    alpha = compose_arrows(qi.inverse, gamma)
-    cell = whisker_right(qi.counit, gamma)
-    return alpha, cell

@@ -219,12 +219,15 @@ def tetrahedron_holds(handle, s: SimplexLabel, quad) -> bool:
 
 
 def validate_simplex(handle, s: SimplexLabel) -> list[Violation]:
+    quads = combinations(range(s.n, -1, -1), 4)
+    return _validate_labels(handle, s.vertices, s.edge_map(), s.triangle_map(), quads)
+
+
+def _validate_labels(handle, vertices, edges: Mapping, tris: Mapping, quads) -> list[Violation]:
+    """Edge and triangle endpoints, then the tetrahedra in quads."""
     out: list[Violation] = []
-    n = s.n
-    edges = s.edge_map()
-    tris = s.triangle_map()
     for (j, i), f in edges.items():
-        if handle.arrow_src(f) != s.vertices[i] or handle.arrow_tgt(f) != s.vertices[j]:
+        if handle.arrow_src(f) != vertices[i] or handle.arrow_tgt(f) != vertices[j]:
             out.append(Violation("endpoint", (j, i), "edge does not match its vertices"))
     if out:
         return out
@@ -235,7 +238,7 @@ def validate_simplex(handle, s: SimplexLabel) -> list[Violation]:
             out.append(Violation("endpoint", (k, j, i), "triangle cell does not match its edges"))
     if out:
         return out
-    for quad in combinations(range(n, -1, -1), 4):
+    for quad in quads:
         lhs, rhs = _tetrahedron_sides(handle, edges, tris, quad)
         if lhs != rhs:
             out.append(Violation("tetrahedron", quad))
@@ -333,29 +336,13 @@ def horn_of(s: SimplexLabel, k: int) -> Horn:
 
 
 def validate_horn(handle, h: Horn) -> list[Violation]:
-    out: list[Violation] = []
-    edges = h.edge_map()
-    tris = h.triangle_map()
-    for (j, i), f in edges.items():
-        if handle.arrow_src(f) != h.vertices[i] or handle.arrow_tgt(f) != h.vertices[j]:
-            out.append(Violation("endpoint", (j, i), "edge does not match its vertices"))
-    if out:
-        return out
-    for (k, j, i), r in tris.items():
-        want_src = edges[(k, i)]
-        want_tgt = handle.compose(edges[(k, j)], edges[(j, i)])
-        if handle.cell_src(r) != want_src or handle.cell_tgt(r) != want_tgt:
-            out.append(Violation("endpoint", (k, j, i), "triangle cell does not match its edges"))
-    if out:
-        return out
-    for quad in combinations(range(h.n, -1, -1), 4):
-        # only the tetrahedra lying in a present face are part of the horn
-        if not (set(range(h.n + 1)) - set(quad) - {h.k}):
-            continue
-        lhs, rhs = _tetrahedron_sides(handle, edges, tris, quad)
-        if lhs != rhs:
-            out.append(Violation("tetrahedron", quad))
-    return out
+    # only the tetrahedra lying in a present face are part of the horn
+    quads = (
+        q
+        for q in combinations(range(h.n, -1, -1), 4)
+        if set(range(h.n + 1)) - set(q) - {h.k}
+    )
+    return _validate_labels(handle, h.vertices, h.edge_map(), h.triangle_map(), quads)
 
 
 def fill_horn(handle, h: Horn) -> SimplexLabel:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chain2 import ChainMap2, Fiber2, HomologyDims, homology, is_quasi_iso
-from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows, identity_arrow, identity_cell
+from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows, identity_cell
 from .groupoid import FinGroupoid
 from .laxmaps import LaxFunctor, LaxTransformation
 from .linalg import RatMatrix
@@ -27,7 +27,7 @@ from .reports import Violation
 from .twocat import from_groupoid
 
 
-class NotQuasiIsoError(Exception):
+class NotQuasiIsoError(ValueError):
     """A morphism whose point maps are not quasi-isomorphisms."""
 
 
@@ -75,17 +75,9 @@ def verify_ruth(r: Ruth2) -> list[Violation]:
     if out:
         return out
 
-    for x in g.objects:
-        u = g.unit(x)
-        f = r.fibers[x]
-        if r.rho1[u] != RatMatrix.identity(f.dim1) or r.rho0[u] != RatMatrix.identity(
-            f.dim0
-        ):
-            out.append(Violation("unit", (u,), "unit arrow must act as the identity"))
-    units = {g.unit(x) for x in g.objects}
-    for (h, a) in r.gamma:
-        if (h in units or a in units) and not r.gamma[(h, a)].is_zero:
-            out.append(Violation("unit", (h, a), "correction at a unit must vanish"))
+    arrows, pairs = _unit_sites(r)
+    out = [Violation("unit", (u,), "unit arrow must act as the identity") for u in arrows]
+    out += [Violation("unit", pair, "correction at a unit must vanish") for pair in pairs]
     if out:
         return out
 
@@ -99,13 +91,47 @@ def verify_ruth(r: Ruth2) -> list[Violation]:
         if r.fibers[z].d @ c != r.rho0[ha] - r.rho0[h] @ r.rho0[a]:
             out.append(Violation("composition homotopy", (h, a), "degree 0"))
 
+    out += [Violation("cocycle", t) for t in _cocycle_sites(r)]
+    return out
+
+
+def _unit_sites(r: Ruth2) -> tuple[list, list]:
+    """Unit arrows that do not act as the identity, and the pairs through a
+    unit whose correction does not vanish."""
+    g = r.groupoid
+    arrows = []
+    for x in g.objects:
+        u = g.unit(x)
+        f = r.fibers[x]
+        if r.rho1[u] != RatMatrix.identity(f.dim1) or r.rho0[u] != RatMatrix.identity(
+            f.dim0
+        ):
+            arrows.append(u)
+    units = {g.unit(x) for x in g.objects}
+    pairs = [
+        (h, a)
+        for (h, a), c in r.gamma.items()
+        if (h in units or a in units) and not c.is_zero
+    ]
+    return arrows, pairs
+
+
+def _cocycle_sites(r: Ruth2) -> list:
+    """Composable triples (k, h, a) at which
+
+        rho1(k) gamma(h, a) + gamma(k, ha) = gamma(k, h) rho0(a) + gamma(kh, a)
+
+    fails.  Read on the pseudo-functor, this is the coherence of the
+    comparison cells."""
+    g = r.groupoid
+    out = []
     for k, h, a in g.composable_triples():
         kh = g.compose(k, h)
         ha = g.compose(h, a)
         lhs = r.rho1[k] @ r.gamma[(h, a)] + r.gamma[(k, ha)]
         rhs = r.gamma[(k, h)] @ r.rho0[a] + r.gamma[(kh, a)]
         if lhs != rhs:
-            out.append(Violation("cocycle", (k, h, a)))
+            out.append((k, h, a))
     return out
 
 
@@ -148,24 +174,15 @@ def verify_pseudofunctor(p: PseudoFunctorGL) -> list[Violation]:
     if out:
         return out
 
-    for x in g.objects:
-        if p.at_arrow[g.unit(x)] != identity_arrow(p.at_obj[x]):
-            out.append(Violation("unit", (g.unit(x),), "unit arrow image"))
-    units = {g.unit(x) for x in g.objects}
-    for (h, a), cell in p.comp_cell.items():
-        if (h in units or a in units) and not cell.r.is_zero:
-            out.append(Violation("unit", (h, a), "comparison cell at a unit"))
+    # The chain and homotopy equations hold by construction of the cells;
+    # unit and coherence are the unit and cocycle laws of the matrices.
+    r = pseudofunctor_to_ruth(p)
+    arrows, pairs = _unit_sites(r)
+    out = [Violation("unit", (u,), "unit arrow image") for u in arrows]
+    out += [Violation("unit", pair, "comparison cell at a unit") for pair in pairs]
     if out:
         return out
-
-    for k, h, a in g.composable_triples():
-        kh = g.compose(k, h)
-        ha = g.compose(h, a)
-        lhs = p.comp_cell[(k, ha)].r + p.at_arrow[k].a1 @ p.comp_cell[(h, a)].r
-        rhs = p.comp_cell[(kh, a)].r + p.comp_cell[(k, h)].r @ p.at_arrow[a].a0
-        if lhs != rhs:
-            out.append(Violation("coherence", (k, h, a)))
-    return out
+    return [Violation("coherence", t) for t in _cocycle_sites(r)]
 
 
 def ruth_to_pseudofunctor(r: Ruth2) -> PseudoFunctorGL:
@@ -174,7 +191,8 @@ def ruth_to_pseudofunctor(r: Ruth2) -> PseudoFunctorGL:
     Chain and homotopy conditions are enforced by the constructors and
     reported as ValueError naming the offending arrow or pair; the cocycle
     condition is deliberately not consumed here, so that verifying the
-    result mirrors verifying the input."""
+    result mirrors verifying the input.  Only the corrections present are
+    carried over, so that verification reports a missing one as totality."""
     g = r.groupoid
     at_obj = {x: GLObject(x, r.fibers[x]) for x in g.objects}
     at_arrow = {}
@@ -185,13 +203,10 @@ def ruth_to_pseudofunctor(r: Ruth2) -> PseudoFunctorGL:
         except ValueError as e:
             raise ValueError(f"arrow {a} does not give a valid map: {e}") from e
     comp_cell = {}
-    for h, a in g.composable_pairs():
-        ha = g.compose(h, a)
+    for (h, a), c in r.gamma.items():
         try:
             comp_cell[(h, a)] = GL2Cell(
-                at_arrow[ha],
-                compose_arrows(at_arrow[h], at_arrow[a]),
-                r.gamma[(h, a)],
+                at_arrow[g.compose(h, a)], compose_arrows(at_arrow[h], at_arrow[a]), c
             )
         except ValueError as e:
             raise ValueError(
@@ -326,22 +341,42 @@ def morphism_to_transformation(m: RuthMorphism) -> LaxTransformation:
 
     The per-point components must be quasi-isomorphisms to live in the
     2-groupoid of complexes; otherwise NotQuasiIsoError is raised."""
-    src = ruth_to_pseudofunctor(m.src)
-    dst = ruth_to_pseudofunctor(m.dst)
-    g = m.src.groupoid
+    return components_to_transformation(
+        ruth_to_pseudofunctor(m.src), ruth_to_pseudofunctor(m.dst), m.theta1, m.theta0, m.mu
+    )
+
+
+def components_to_transformation(
+    src: PseudoFunctorGL, dst: PseudoFunctorGL, theta1: dict, theta0: dict, mu: dict
+) -> LaxTransformation:
+    """The transformation src => dst with components (theta1[x], theta0[x])
+    and, for each arrow a present in mu, the cell of homotopy matrix mu[a].
+
+    A component that is not a chain map, or a cell matrix that fails the
+    homotopy equations, raises ValueError naming the point or arrow; a
+    component that is not a quasi-isomorphism raises NotQuasiIsoError."""
+    g = src.groupoid
     at_obj = {}
     for x in g.objects:
-        t = ChainMap2(m.src.fibers[x], m.dst.fibers[x], m.theta1[x], m.theta0[x])
+        sx, dx = src.at_obj[x], dst.at_obj[x]
+        try:
+            t = ChainMap2(sx.fiber, dx.fiber, theta1[x], theta0[x])
+        except ValueError as e:
+            raise ValueError(f"component at {x} does not give a valid map: {e}") from e
         if not is_quasi_iso(t):
             raise NotQuasiIsoError(f"component at {x} is not a quasi-isomorphism")
-        at_obj[x] = GLArrow(src.at_obj[x], dst.at_obj[x], t)
+        at_obj[x] = GLArrow(sx, dx, t)
     at_arrow = {}
-    for a, (x, y) in g.arrows.items():
-        at_arrow[a] = GL2Cell(
-            compose_arrows(at_obj[y], src.at_arrow[a]),
-            compose_arrows(dst.at_arrow[a], at_obj[x]),
-            m.mu[a],
-        )
+    for a, r in mu.items():
+        x, y = g.arrows[a]
+        try:
+            at_arrow[a] = GL2Cell(
+                compose_arrows(at_obj[y], src.at_arrow[a]),
+                compose_arrows(dst.at_arrow[a], at_obj[x]),
+                r,
+            )
+        except ValueError as e:
+            raise ValueError(f"cell at {a} does not give a valid homotopy: {e}") from e
     return LaxTransformation(at_obj, at_arrow)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from glv.chain2 import ChainMap2, Fiber2
 from glv.gl2 import GLArrow, GLObject
 from glv.linalg import RatMatrix
-from glv.nerve import TableHandle
+from glv.nerve import GLHandle, TableHandle, fill_horn, make_horn
 from glv.twocat import Fin2Groupoid, delooping
 
 
@@ -57,3 +57,11 @@ def scalar_arrow(src: GLObject, dst: GLObject, a1: Fraction, a0: Fraction) -> GL
         RatMatrix.from_rows([[a0]]),
     )
     return GLArrow(src, dst, m)
+
+
+def fill_outer_2horn(k: int, vertices, edges) -> tuple:
+    """Fill the outer 2-horn missing the face opposite vertex k (0 or 2)
+    over GL; returns the new edge and the 2-cell u20 => u21 . u10."""
+    s = fill_horn(GLHandle(), make_horn(2, k, vertices, edges, {}))
+    new = (2, 1) if k == 0 else (1, 0)
+    return s.edge_map()[new], s.triangle_map()[(2, 1, 0)]

@@ -21,8 +21,6 @@ from glv.cli import main as cli_main
 from glv.gl2 import (
     GL2Cell,
     compose_arrows,
-    fill_horn20,
-    fill_horn22,
     hcompose,
     identity_arrow,
     quasi_inverse,
@@ -88,6 +86,7 @@ from glv.sampling import (
 )
 from glv.twocat import delooping
 
+from helpers import fill_outer_2horn
 from test_cli import BROKEN, FIXTURES, MALFORMED, VALID
 
 GL = GLHandle()
@@ -163,13 +162,13 @@ def test_criterion_3_quasi_inverses_and_outer_horns():
         if i % 2 == 0:
             alpha = rand_gl_arrow(rng, x, y)
             gamma = rand_gl_arrow(rng, x, z)
-            beta, cell = fill_horn20(alpha, gamma)
+            beta, cell = fill_outer_2horn(0, (x, y, z), {(1, 0): alpha, (2, 0): gamma})
             assert cell.source == gamma
             assert cell.target == compose_arrows(beta, alpha)
         else:
             gamma = rand_gl_arrow(rng, x, z)
             beta = rand_gl_arrow(rng, y, z)
-            alpha, cell = fill_horn22(gamma, beta)
+            alpha, cell = fill_outer_2horn(2, (x, y, z), {(2, 0): gamma, (2, 1): beta})
             assert cell.source == gamma
             assert cell.target == compose_arrows(beta, alpha)
     _report(

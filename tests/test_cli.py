@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from glv.cli import main
-from glv.documents import load_document
+from glv.documents import dump_document, load_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -218,3 +218,32 @@ def test_nerve_rejects_wrong_kind_and_broken_tables():
     result = run("nerve", FIXTURES / "bad_two_category_interchange.json", "--level", "2")
     assert result.exit_code == 1
     assert "interchange" in result.output
+    result = run("nerve", FIXTURES / "two_category_delooping_z4.json", "--level", "-1")
+    assert result.exit_code == 2
+
+
+def test_nerve_reports_a_non_invertible_cell(tmp_path):
+    # one object, one arrow, cells i and an idempotent e under both compositions
+    table = [["i", "i", "i"], ["i", "e", "e"], ["e", "i", "e"], ["e", "e", "e"]]
+    payload = {
+        "objects": ["*"],
+        "arrows": {"1": ["*", "*"]},
+        "cells": {"i": ["1", "1"], "e": ["1", "1"]},
+        "compose": [["1", "1", "1"]],
+        "hcompose": table,
+        "vcompose": table,
+        "unit_arrows": {"*": "1"},
+        "unit_cells": {"1": "i"},
+    }
+    path = tmp_path / "idempotent.json"
+    path.write_text(dump_document("two-category", payload))
+    assert run("verify", path).exit_code == 0
+    assert run("nerve", path, "--level", "2").exit_code == 0
+    result = run("nerve", path, "--level", "3")
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        "level 0: 1 simplices",
+        "level 1: 1 simplices",
+        "level 2: 2 simplices",
+        "error: 2-cell e is not invertible",
+    ]

@@ -39,6 +39,7 @@ from glv.ruth import (
     pseudofunctor_to_ruth,
     ruth_to_pseudofunctor,
     verify_morphism,
+    verify_pseudofunctor,
     verify_ruth,
 )
 from glv.sampling import (
@@ -83,6 +84,10 @@ def test_matrix_codec_rejects_bad_shapes_and_scalars():
         matrix_from_lists([["x"]], 1, 1, "m")
     with pytest.raises(DocumentError, match="string"):
         matrix_from_lists([[1]], 1, 1, "m")
+    # only -?p and -?p/q in ASCII digits, whatever else Fraction() accepts
+    for text in ("1.5", "1e2", " 1_0 ", "1.0", "+1", "²", "1/-2", "1 / 2"):
+        with pytest.raises(DocumentError, match="scalar"):
+            matrix_from_lists([[text]], 1, 1, "m")
 
 
 def test_groupoid_roundtrip():
@@ -134,6 +139,15 @@ def test_functor_with_bad_arrow_is_semantic_not_structural():
     payload["arrows"][arrow]["a0"] = [["9" for _ in row] for row in shape]
     with pytest.raises(ValueError, match="valid map"):
         decode_functor(payload)
+
+
+def test_functor_missing_compare_entry_is_totality():
+    rng = random.Random(5)
+    p = ruth_to_pseudofunctor(rand_ruth(rng, pair_groupoid(["a", "b"])))
+    payload = encode_functor(p)
+    h, a, _ = payload["compare"].pop(1)
+    got = verify_pseudofunctor(decode_functor(payload))
+    assert [(v.law, v.where) for v in got] == [("totality", (h, a))]
 
 
 def test_gl_simplex_roundtrip():
@@ -266,9 +280,11 @@ def test_bad_index_keys_are_rejected():
     rng = random.Random(4)
     s = sample_gl_simplex(rng, 2)
     payload = encode_simplex(s)
-    payload["edges"]["0,1"] = payload["edges"].pop("1,0")
-    with pytest.raises(DocumentError, match="index key"):
-        decode_simplex(payload)
+    for old, new in (("1,0", "0,1"), ("2,0", "²,0"), ("1,0", "01,0"), ("1,0", "1,00")):
+        bad = json.loads(json.dumps(payload))
+        bad["edges"][new] = bad["edges"].pop(old)
+        with pytest.raises(DocumentError, match="index key"):
+            decode_simplex(bad)
 
 
 def test_missing_edge_coverage_is_structural():

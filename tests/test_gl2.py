@@ -10,8 +10,6 @@ from glv.gl2 import (
     arrows_homotopic,
     compose_arrows,
     connecting_cell,
-    fill_horn20,
-    fill_horn22,
     hcompose,
     identity_arrow,
     identity_cell,
@@ -29,6 +27,8 @@ from glv.sampling import (
     rand_interchange_square,
     rand_quasi_iso,
 )
+
+from helpers import fill_outer_2horn
 
 
 def obj(point, dim1, dim0, rows):
@@ -127,7 +127,7 @@ def test_fill_horn20():
         x, y, z = rand_gl_objects(rng, 3)
         alpha = rand_gl_arrow(rng, x, y)
         gamma = rand_gl_arrow(rng, x, z)
-        beta, cell = fill_horn20(alpha, gamma)
+        beta, cell = fill_outer_2horn(0, (x, y, z), {(1, 0): alpha, (2, 0): gamma})
         assert beta.src == y and beta.dst == z
         assert cell.source == gamma
         assert cell.target == compose_arrows(beta, alpha)
@@ -139,7 +139,7 @@ def test_fill_horn22():
         x, y, z = rand_gl_objects(rng, 3)
         gamma = rand_gl_arrow(rng, x, z)
         beta = rand_gl_arrow(rng, y, z)
-        alpha, cell = fill_horn22(gamma, beta)
+        alpha, cell = fill_outer_2horn(2, (x, y, z), {(2, 0): gamma, (2, 1): beta})
         assert alpha.src == x and alpha.dst == y
         assert cell.source == gamma
         assert cell.target == compose_arrows(beta, alpha)
@@ -155,11 +155,11 @@ def test_fill_horn_literal_solution_when_invertible():
     a = RatMatrix.from_rows([[1, 1], [0, 1]])
     alpha = GLArrow(x, y, ChainMap2(x.fiber, y.fiber, a, d @ a @ left_inverse(d)))
     gamma = rand_gl_arrow(rng, x, z)
-    beta, cell = fill_horn20(alpha, gamma)
+    beta, cell = fill_outer_2horn(0, (x, y, z), {(1, 0): alpha, (2, 0): gamma})
     assert beta.a1 == gamma.a1 @ left_inverse(alpha.a1)
     assert beta.a0 == gamma.a0 @ left_inverse(alpha.a0)
     bmap = GLArrow(y, z, ChainMap2(y.fiber, z.fiber, a, d @ a @ left_inverse(d)))
-    alpha2, cell2 = fill_horn22(gamma, bmap)
+    alpha2, cell2 = fill_outer_2horn(2, (x, y, z), {(2, 0): gamma, (2, 1): bmap})
     assert alpha2.a1 == left_inverse(bmap.a1) @ gamma.a1
     assert alpha2.a0 == left_inverse(bmap.a0) @ gamma.a0
 

@@ -167,6 +167,17 @@ def test_unit_normalization_enforced():
     rho1[u] = RatMatrix.from_rows([[Fraction(2)]])
     bad = Ruth2(g, r.fibers, rho1, r.rho0, r.gamma)
     assert any(v.law == "unit" for v in verify_ruth(bad))
+    # with d = 0 any correction is a homotopy, so the functor can carry a
+    # nonzero one at a unit; both presentations report the same site
+    pairs = [(g.unit(g.tgt("b|a")), "b|a"), ("b|a", g.unit(g.src("b|a")))]
+    gamma = dict(r.gamma)
+    for pair in pairs:
+        gamma[pair] = RatMatrix.from_rows([[Fraction(1)]])
+    bad = Ruth2(g, r.fibers, r.rho1, r.rho0, gamma)
+    want = sorted(("unit", pair) for pair in pairs)
+    assert sorted((v.law, v.where) for v in verify_ruth(bad)) == want
+    p = ruth_to_pseudofunctor(bad)
+    assert sorted((v.law, v.where) for v in verify_pseudofunctor(p)) == want
 
 
 @pytest.mark.parametrize("g", GROUPOIDS)
