@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .linalg import (
     RatMatrix,
+    basis_completion,
     hstack,
     kernel_basis,
     kron,
@@ -124,22 +125,7 @@ def cokernel_complement(f: Fiber2) -> RatMatrix:
     The standard basis vectors are tried in order and kept greedily whenever
     they increase the rank, so the choice is deterministic.
     """
-    cols = [f.d.col(j) for j in range(f.dim1)]
-    picked: list[RatMatrix] = []
-    current = f.d
-    r = rank(f.d)
-    for i in range(f.dim0):
-        if r == f.dim0:
-            break
-        e = RatMatrix.column([1 if k == i else 0 for k in range(f.dim0)])
-        cand = hstack(current, e)
-        if rank(cand) > r:
-            picked.append(e)
-            current = cand
-            r += 1
-    if picked:
-        return hstack(*picked)
-    return RatMatrix.zeros(f.dim0, 0)
+    return basis_completion(f.d)
 
 
 def cokernel_projection(f: Fiber2) -> RatMatrix:

@@ -19,7 +19,7 @@ import click
 from . import documents as docs
 from .documents import DocumentError
 from .groupoid import action_groupoid, cyclic_group, pair_groupoid, verify_groupoid
-from .laxmaps import LaxTransformation, verify_lax_transformation
+from .laxmaps import LaxTransformation
 from .nerve import (
     GLHandle,
     NoFillerError,
@@ -31,7 +31,6 @@ from .nerve import (
 )
 from .ruth import (
     NotQuasiIsoError,
-    as_lax_functor,
     components_to_transformation,
     double_rep,
     lines_projection_rep,
@@ -42,9 +41,10 @@ from .ruth import (
     verify_morphism,
     verify_pseudofunctor,
     verify_ruth,
+    verify_transformation,
 )
 from .sampling import rand_double_ruth
-from .twocat import Fin2Groupoid, delooping, verify_2category, verify_2groupoid
+from .twocat import delooping, verify_fin2cat
 
 
 def _structural(message: str):
@@ -100,10 +100,7 @@ def _verify_payload(kind: str, payload: dict):
         docs.decode_bundle(payload)
         return []
     if kind == "two-category":
-        c = docs.decode_two_category(payload)
-        if isinstance(c, Fin2Groupoid):
-            return verify_2groupoid(c)
-        return verify_2category(c)
+        return verify_fin2cat(docs.decode_two_category(payload))
     if kind == "ruth":
         return verify_ruth(docs.decode_ruth(payload))
     if kind == "functor":
@@ -118,10 +115,7 @@ def _verify_payload(kind: str, payload: dict):
     if style == "ruth":
         return verify_morphism(docs.decode_ruth_morphism(payload))
     src, dst, at_obj, at_arrow = docs.decode_lax_morphism(payload)
-    h = LaxTransformation(at_obj, at_arrow)
-    return verify_lax_transformation(
-        h, as_lax_functor(src), as_lax_functor(dst), GLHandle()
-    )
+    return verify_transformation(src, dst, LaxTransformation(at_obj, at_arrow))
 
 
 @main.command()
@@ -173,9 +167,7 @@ def _convert(direction: str, payload: dict) -> tuple[str, dict]:
         return "morphism", docs.encode_lax_morphism(src, dst, h.at_obj, h.at_arrow)
     src, dst, at_obj, at_arrow = docs.decode_lax_morphism(payload)
     h = LaxTransformation(at_obj, at_arrow)
-    bad = verify_lax_transformation(
-        h, as_lax_functor(src), as_lax_functor(dst), GLHandle()
-    )
+    bad = verify_transformation(src, dst, h)
     if bad:
         _semantic(bad)
     m = transformation_to_morphism(h, pseudofunctor_to_ruth(src), pseudofunctor_to_ruth(dst))
@@ -336,7 +328,7 @@ def nerve(path, level):
         c = docs.decode_two_category(payload)
     except DocumentError as e:
         _structural(str(e))
-    bad = verify_2groupoid(c) if isinstance(c, Fin2Groupoid) else verify_2category(c)
+    bad = verify_fin2cat(c)
     if bad:
         _semantic(bad)
     handle = TableHandle(c)

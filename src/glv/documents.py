@@ -13,9 +13,11 @@ Structural problems, such as missing or unknown fields, malformed scalars,
 wrong matrix shapes and names that do not resolve, raise DocumentError.
 Payloads that are well formed but violate an equation of the objects they
 describe either surface through the verifiers or, for the checked GL
-constructors, as ValueError naming the offending piece.  Functor and lax
-morphism payloads are parsed into matrices and handed to the translation
-in ruth.py, which builds their GL cells.
+constructors, as ValueError naming the offending piece.  An embedded
+groupoid or two-category is verified before anything is built from it; its
+violations raise ValueError, one line each under the structure's path.
+Functor and lax morphism payloads are parsed into matrices and handed to the
+translation in ruth.py, which builds their GL cells.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Mapping, Sequence
 
 from .chain2 import ChainMap2, Fiber2
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
-from .groupoid import FinGroupoid
+from .groupoid import FinGroupoid, verify_groupoid
 from .linalg import RatMatrix
 from .nerve import Horn, SimplexLabel, make_horn, make_simplex
 from .ruth import (
@@ -37,7 +39,7 @@ from .ruth import (
     components_to_transformation,
     ruth_to_pseudofunctor,
 )
-from .twocat import Fin2Cat, Fin2Groupoid
+from .twocat import Fin2Cat, Fin2Groupoid, verify_fin2cat
 
 VERSION = "1"
 
@@ -55,6 +57,13 @@ KINDS = (
 
 class DocumentError(Exception):
     """A document is structurally malformed."""
+
+
+def _lawful(violations, where: str) -> None:
+    """Reject an embedded structure that breaks its laws: a ValueError with
+    one line per violation, each prefixed by the structure's path."""
+    if violations:
+        raise ValueError("\n".join(f"{where}: {v}" for v in violations))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +369,7 @@ def decode_two_category(obj, where: str = "payload") -> Fin2Cat:
 
 def _groupoid_and_fibers(d: dict, where: str) -> tuple[FinGroupoid, dict]:
     g = decode_groupoid(d["groupoid"], f"{where}.groupoid")
+    _lawful(verify_groupoid(g), f"{where}.groupoid")
     raw = _as_dict(d["fibers"], f"{where}.fibers")
     if set(raw) != set(g.objects):
         raise DocumentError(f"{where}.fibers: keys do not match the groupoid objects")
@@ -574,6 +584,7 @@ def _decode_table_tables(d: dict, where: str):
     if "category" not in d:
         raise DocumentError(f"{where}: a table document needs a category field")
     cat = decode_two_category(d["category"], f"{where}.category")
+    _lawful(verify_fin2cat(cat), f"{where}.category")
     vertices = _str_list(d["vertices"], f"{where}.vertices")
     for i, x in enumerate(vertices):
         if x not in cat.objects:

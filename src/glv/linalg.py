@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -161,48 +162,75 @@ def vstack(*mats: RatMatrix) -> RatMatrix:
     return RatMatrix(sum(m.rows for m in mats), cols, tuple(ent))
 
 
-def _reduce(m: RatMatrix) -> tuple[list[list[Fraction]], list[int], list[list[Fraction]]]:
-    # Reduced row echelon form with a transform: returns (R, pivots, T) where
-    # R = T @ m, T invertible, pivot entries 1 and alone in their column.
-    a = m.to_lists()
-    t = RatMatrix.identity(m.rows).to_lists()
+def _reduce(a: list[list[Fraction]], ncols: int) -> list[int]:
+    # Reduce the rows a in place to reduced row echelon form over their first
+    # ncols columns, applying every row operation to the whole row; returns the
+    # pivot columns.  Pivot entries become 1 and alone in their column.  Left
+    # of its pivot a pivot row is zero, so each operation starts at the pivot.
     pivots: list[int] = []
     r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+    for c in range(ncols):
+        if r == len(a):
+            break
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if pivot_row is None:
             continue
         a[r], a[pivot_row] = a[pivot_row], a[r]
-        t[r], t[pivot_row] = t[pivot_row], t[r]
         inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        t[r] = [x * inv for x in t[r]]
-        for i in range(m.rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-                t[i] = [x - f * y for x, y in zip(t[i], t[r])]
+        a[r][c:] = [x * inv for x in a[r][c:]]
+        tail = a[r][c:]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f != 0:
+                row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
         pivots.append(c)
         r += 1
-        if r == m.rows:
-            break
-    return a, pivots, t
+    return pivots
 
 
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    a, pivots, _ = _reduce(m)
+    a = m.to_lists()
+    pivots = _reduce(a, m.cols)
     flat = tuple(x for row in a for x in row)
     return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    _, pivots, _ = _reduce(m)
-    return len(pivots)
+    """Fraction-free: each row is scaled to integers by the lcm of its
+    denominators, then Bareiss elimination divides every update exactly by
+    the previous pivot, which keeps the integers at the size of minors of m."""
+    k = m.cols
+    e = m.entries
+    a = []
+    for i in range(m.rows):
+        row = e[i * k : (i + 1) * k]
+        scale = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (scale // x.denominator) for x in row]
+        if any(ints):
+            a.append(ints)
+    r, prev = 0, 1
+    for c in range(k):
+        if r == len(a):
+            break
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        p = a[r][c]
+        tail = a[r][c + 1 :]
+        for i in range(r + 1, len(a)):
+            row = a[i]
+            f = row[c]
+            row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], tail)]
+        prev = p
+        r += 1
+    return r
 
 
 def kernel_basis(m: RatMatrix) -> RatMatrix:
     """Columns form a basis of ker(m); free coordinates are unit vectors."""
-    a, pivots, _ = _reduce(m)
+    a = m.to_lists()
+    pivots = _reduce(a, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
     ent = [[Fraction(0)] * len(free) for _ in range(m.cols)]
     for idx, f in enumerate(free):
@@ -212,23 +240,35 @@ def kernel_basis(m: RatMatrix) -> RatMatrix:
     return RatMatrix(m.cols, len(free), tuple(x for row in ent for x in row))
 
 
+def basis_completion(m: RatMatrix) -> RatMatrix:
+    """Columns: the standard vectors that complete the column span of m to
+    the whole space, chosen greedily left to right.
+
+    e_i is kept when it lies outside the span of m and of the e_j kept
+    before it, which makes the chosen vectors exactly the pivot columns of
+    rref([m | I]) past the columns of m."""
+    _, pivots = rref(hstack(m, RatMatrix.identity(m.rows)))
+    picked = [p - m.cols for p in pivots if p >= m.cols]
+    ent = tuple(Fraction(1 if i == j else 0) for i in range(m.rows) for j in picked)
+    return RatMatrix(m.rows, len(picked), ent)
+
+
 def solve(m: RatMatrix, b: RatMatrix) -> RatMatrix:
     """One solution X of m @ X = b, free coordinates zero.
 
+    Reduces the augmented rows [m | b] over the columns of m.
     Raises NoSolutionError when some column of b is outside the image.
     """
     if m.rows != b.rows:
         raise ValueError("shape mismatch in solve")
-    a, pivots, t = _reduce(m)
-    tb = RatMatrix(m.rows, m.rows, tuple(x for row in t for x in row)) @ b
-    nr = len(pivots)
-    for i in range(nr, m.rows):
-        if any(tb.entry(i, j) != 0 for j in range(b.cols)):
+    a = [list(m.row(i) + b.row(i)) for i in range(m.rows)]
+    pivots = _reduce(a, m.cols)
+    for row in a[len(pivots) :]:
+        if any(x != 0 for x in row[m.cols :]):
             raise NoSolutionError("inconsistent linear system")
     ent = [[Fraction(0)] * b.cols for _ in range(m.cols)]
-    for i, p in enumerate(pivots):
-        for j in range(b.cols):
-            ent[p][j] = tb.entry(i, j)
+    for row, p in zip(a, pivots):
+        ent[p] = row[m.cols :]
     return RatMatrix(m.cols, b.cols, tuple(x for row in ent for x in row))
 
 

@@ -15,14 +15,15 @@ homotopies mu, and translate to transformations of the pseudo-functors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .chain2 import ChainMap2, Fiber2, HomologyDims, homology, is_quasi_iso
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows, identity_cell
 from .groupoid import FinGroupoid
-from .laxmaps import LaxFunctor, LaxTransformation
+from .laxmaps import LaxFunctor, LaxTransformation, verify_lax_transformation
 from .linalg import RatMatrix
+from .nerve import GLHandle
 from .reports import Violation
 from .twocat import from_groupoid
 
@@ -42,7 +43,7 @@ class Ruth2:
     gamma: dict  # (h, g) -> RatMatrix V0(src g) -> V1(tgt h)
 
 
-def verify_ruth(r: Ruth2) -> list[Violation]:
+def _totality(r: Ruth2) -> list[Violation]:
     out: list[Violation] = []
     g = r.groupoid
     for x in g.objects:
@@ -54,9 +55,20 @@ def verify_ruth(r: Ruth2) -> list[Violation]:
     for pair in g.composable_pairs():
         if pair not in r.gamma:
             out.append(Violation("totality", pair, "pair has no correction"))
+    return out
+
+
+def _in_the(side: str, violations: list[Violation]) -> list[Violation]:
+    """Violations of a morphism's source or target, marked as such."""
+    return [replace(v, detail=f"{v.detail} in the {side}".lstrip()) for v in violations]
+
+
+def verify_ruth(r: Ruth2) -> list[Violation]:
+    out = _totality(r)
     if out:
         return out
 
+    g = r.groupoid
     for a, (x, y) in g.arrows.items():
         fx, fy = r.fibers[x], r.fibers[y]
         r1, r0 = r.rho1[a], r.rho0[a]
@@ -185,6 +197,18 @@ def verify_pseudofunctor(p: PseudoFunctorGL) -> list[Violation]:
     return [Violation("coherence", t) for t in _cocycle_sites(r)]
 
 
+def verify_transformation(
+    src: PseudoFunctorGL, dst: PseudoFunctorGL, h: LaxTransformation
+) -> list[Violation]:
+    """The laws of a transformation src => dst: those of its source and
+    target first, then the transformation laws on the generic lax path."""
+    out = _in_the("source", verify_pseudofunctor(src))
+    out += _in_the("target", verify_pseudofunctor(dst))
+    if out:
+        return out
+    return verify_lax_transformation(h, as_lax_functor(src), as_lax_functor(dst), GLHandle())
+
+
 def ruth_to_pseudofunctor(r: Ruth2) -> PseudoFunctorGL:
     """Repackage the matrices as objects, arrows and 2-cells.
 
@@ -248,10 +272,10 @@ class RuthMorphism:
 
 
 def verify_morphism(m: RuthMorphism) -> list[Violation]:
-    out: list[Violation] = []
     g = m.src.groupoid
     if m.dst.groupoid is not g and m.dst.groupoid != g:
         return [Violation("totality", (), "source and target over different groupoids")]
+    out = _in_the("source", _totality(m.src)) + _in_the("target", _totality(m.dst))
     for x in g.objects:
         if x not in m.theta1 or x not in m.theta0:
             out.append(Violation("totality", (x,), "object has no component"))

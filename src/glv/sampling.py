@@ -25,7 +25,7 @@ from .chain2 import (
 )
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
 from .groupoid import FinGroupoid
-from .linalg import RatMatrix, hstack, left_inverse, rank, solve
+from .linalg import RatMatrix, basis_completion, hstack, left_inverse, rank, solve
 from .nerve import GLHandle, SimplexLabel, TableHandle, make_simplex
 from .ruth import Ruth2, RuthMorphism, compose_morphisms, double_rep
 
@@ -73,19 +73,7 @@ def _projection_to_minimal(x: Fiber2) -> ChainMap2:
     h = homology(x)
     minimal = Fiber2(h.h1, h.h0, RatMatrix.zeros(h.h0, h.h1))
     ker = kernel_inclusion(x.d)
-    cols = [ker]
-    r = h.h1
-    current = ker
-    for i in range(x.dim1):
-        if r == x.dim1:
-            break
-        e = RatMatrix.column([1 if k == i else 0 for k in range(x.dim1)])
-        cand = hstack(current, e)
-        if rank(cand) > r:
-            cols.append(e)
-            current = cand
-            r += 1
-    basis = hstack(*cols) if x.dim1 else RatMatrix.zeros(0, 0)
+    basis = hstack(ker, basis_completion(ker))
     inv = solve(basis, RatMatrix.identity(x.dim1))
     p1 = RatMatrix(h.h1, x.dim1, tuple(inv.entry(i, j) for i in range(h.h1) for j in range(x.dim1)))
     p0 = cokernel_projection(x)

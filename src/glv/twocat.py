@@ -210,6 +210,12 @@ def verify_2groupoid(g: Fin2Groupoid) -> list[Violation]:
     return out
 
 
+def verify_fin2cat(c: Fin2Cat) -> list[Violation]:
+    """The laws of a 2-groupoid when c carries cell inverses, else those of
+    a 2-category."""
+    return verify_2groupoid(c) if isinstance(c, Fin2Groupoid) else verify_2category(c)
+
+
 def delooping(
     elements: Iterable[str], mul: Mapping[tuple[str, str], str], unit: str
 ) -> Fin2Groupoid:

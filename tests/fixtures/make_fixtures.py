@@ -50,8 +50,8 @@ from glv.sampling import (
 from glv.twocat import Fin2Cat, delooping, from_groupoid, verify_2category
 
 
-def write(name: str, kind: str, payload: dict) -> None:
-    (HERE / name).write_text(docs.dump_document(kind, payload))
+def write(out: Path, name: str, kind: str, payload: dict) -> None:
+    (out / name).write_text(docs.dump_document(kind, payload))
     print(f"wrote {name}")
 
 
@@ -91,18 +91,20 @@ def cells_z2() -> Fin2Cat:
     )
 
 
-def main() -> None:
+def main(out: Path = HERE) -> None:
+    """Write the corpus into the directory out."""
     # ---- valid documents -------------------------------------------------
     g3 = pair_groupoid(["a", "b", "c"])
-    write("groupoid_pair.json", "groupoid", docs.encode_groupoid(g3))
+    write(out, "groupoid_pair.json", "groupoid", docs.encode_groupoid(g3))
 
     els, mul, unit = cyclic_group(3)
     act = action_groupoid(els, mul, unit, els, mul)
-    write("groupoid_action_z3.json", "groupoid", docs.encode_groupoid(act))
+    write(out, "groupoid_action_z3.json", "groupoid", docs.encode_groupoid(act))
 
     dl4 = delooping(*cyclic_group(4))
-    write("two_category_delooping_z4.json", "two-category", docs.encode_two_category(dl4))
+    write(out, "two_category_delooping_z4.json", "two-category", docs.encode_two_category(dl4))
     write(
+        out,
         "two_category_pair.json",
         "two-category",
         docs.encode_two_category(from_groupoid(pair_groupoid(["a", "b"]))),
@@ -111,43 +113,44 @@ def main() -> None:
     rng = random.Random(101)
     sheared = rand_ruth(rng, g3, style="sheared")
     assert verify_ruth(sheared) == []
-    write("ruth_sheared.json", "ruth", docs.encode_ruth(sheared))
-    write("bundle.json", "bundle", docs.encode_bundle(sheared.fibers))
+    write(out, "ruth_sheared.json", "ruth", docs.encode_ruth(sheared))
+    write(out, "bundle.json", "bundle", docs.encode_bundle(sheared.fibers))
 
     lines = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))]
     raw_lines = lines_projection_rep(lines)
     assert laws(verify_ruth(raw_lines)) == {"composition homotopy"}
-    write("bad_ruth_composition_lines.json", "ruth", docs.encode_ruth(raw_lines))
+    write(out, "bad_ruth_composition_lines.json", "ruth", docs.encode_ruth(raw_lines))
 
     functor = ruth_to_pseudofunctor(sheared)
     assert verify_pseudofunctor(functor) == []
-    write("functor.json", "functor", docs.encode_functor(functor))
+    write(out, "functor.json", "functor", docs.encode_functor(functor))
 
     rng = random.Random(7)
     s3 = sample_gl_simplex(rng, 3)
     assert validate_simplex(GLHandle(), s3) == []
-    write("simplex_gl.json", "simplex", docs.encode_simplex(s3))
-    write("horn_gl_31.json", "horn", docs.encode_horn(horn_of(s3, 1)))
+    write(out, "simplex_gl.json", "simplex", docs.encode_simplex(s3))
+    write(out, "horn_gl_31.json", "horn", docs.encode_horn(horn_of(s3, 1)))
 
     s2 = sample_gl_simplex(random.Random(8), 2)
-    write("horn_gl_20.json", "horn", docs.encode_horn(horn_of(s2, 0)))
+    write(out, "horn_gl_20.json", "horn", docs.encode_horn(horn_of(s2, 0)))
 
     table_handle = TableHandle(dl4)
     st = sample_table_simplex(table_handle, random.Random(9), 3)
     assert validate_simplex(table_handle, st) == []
-    write("simplex_table.json", "simplex", docs.encode_simplex(st, dl4))
-    write("horn_table_32.json", "horn", docs.encode_horn(horn_of(st, 2), dl4))
+    write(out, "simplex_table.json", "simplex", docs.encode_simplex(st, dl4))
+    write(out, "horn_table_32.json", "horn", docs.encode_horn(horn_of(st, 2), dl4))
 
     rng = random.Random(12)
     base = rand_ruth(rng, pair_groupoid(["a", "b"]))
     morphism = rand_ruth_morphism(rng, base)
     assert verify_morphism(morphism) == []
-    write("morphism_ruth.json", "morphism", docs.encode_ruth_morphism(morphism))
+    write(out, "morphism_ruth.json", "morphism", docs.encode_ruth_morphism(morphism))
 
     h = morphism_to_transformation(morphism)
     msrc = ruth_to_pseudofunctor(morphism.src)
     mdst = ruth_to_pseudofunctor(morphism.dst)
     write(
+        out,
         "morphism_lax.json",
         "morphism",
         docs.encode_lax_morphism(msrc, mdst, h.at_obj, h.at_arrow),
@@ -157,13 +160,13 @@ def main() -> None:
     broken_group = one_object_group(4)
     broken_group.comp[("1", "1")] = "0"
     assert laws(verify_groupoid(broken_group)) == {"associativity"}
-    write("bad_groupoid_associativity.json", "groupoid", docs.encode_groupoid(broken_group))
+    write(out, "bad_groupoid_associativity.json", "groupoid", docs.encode_groupoid(broken_group))
 
     c2 = cells_z2()
     assert verify_2category(c2) == []
     c2.hcomp[("t", "t")] = "t"
     assert laws(verify_2category(c2)) == {"interchange"}
-    write("bad_two_category_interchange.json", "two-category", docs.encode_two_category(c2))
+    write(out, "bad_two_category_interchange.json", "two-category", docs.encode_two_category(c2))
 
     rng = random.Random(31)
     while True:
@@ -173,11 +176,11 @@ def main() -> None:
             bad_cocycle, _ = got
             break
     assert laws(verify_ruth(bad_cocycle)) == {"cocycle"}
-    write("bad_ruth_cocycle.json", "ruth", docs.encode_ruth(bad_cocycle))
+    write(out, "bad_ruth_cocycle.json", "ruth", docs.encode_ruth(bad_cocycle))
 
     bad_functor = ruth_to_pseudofunctor(bad_cocycle)
     assert laws(verify_pseudofunctor(bad_functor)) == {"coherence"}
-    write("bad_functor_coherence.json", "functor", docs.encode_functor(bad_functor))
+    write(out, "bad_functor_coherence.json", "functor", docs.encode_functor(bad_functor))
 
     seed = 40
     while True:
@@ -190,7 +193,7 @@ def main() -> None:
         bad_chain.rho1[arrow] = old + ones
         if laws(verify_ruth(bad_chain)) == {"chain condition"}:
             break
-    write("bad_ruth_chain.json", "ruth", docs.encode_ruth(bad_chain))
+    write(out, "bad_ruth_chain.json", "ruth", docs.encode_ruth(bad_chain))
 
     # a 3-simplex with one triangle moved inside its homotopy class
     seed = 0
@@ -207,7 +210,7 @@ def main() -> None:
         broken_simplex = make_simplex(s.vertices, dict(s.edges), tri)
         if laws(validate_simplex(GLHandle(), broken_simplex)) == {"tetrahedron"}:
             break
-    write("bad_simplex_tetrahedron.json", "simplex", docs.encode_simplex(broken_simplex))
+    write(out, "bad_simplex_tetrahedron.json", "simplex", docs.encode_simplex(broken_simplex))
 
     # a (4, 2) horn whose present faces already fail a tetrahedron equation
     seed = 0
@@ -225,7 +228,7 @@ def main() -> None:
         horn42 = horn_of(broken4, 2)
         if laws(validate_horn(GLHandle(), horn42)) == {"tetrahedron"}:
             break
-    write("bad_horn_tetrahedron.json", "horn", docs.encode_horn(horn42))
+    write(out, "bad_horn_tetrahedron.json", "horn", docs.encode_horn(horn42))
 
     seed = 0
     while True:
@@ -242,7 +245,7 @@ def main() -> None:
         m.mu[a] = m.mu[a] + bump
         if laws(verify_morphism(m)) == {"morphism pair"}:
             break
-    write("bad_morphism_pair.json", "morphism", docs.encode_ruth_morphism(m))
+    write(out, "bad_morphism_pair.json", "morphism", docs.encode_ruth_morphism(m))
 
     seed = 100
     while True:
@@ -278,19 +281,19 @@ def main() -> None:
         )
         if got == {"transformation prism"}:
             break
-    write("bad_morphism_prism.json", "morphism", payload)
+    write(out, "bad_morphism_prism.json", "morphism", payload)
 
     # ---- structurally malformed documents (exit 2) -----------------------
     text = docs.dump_document("groupoid", docs.encode_groupoid(pair_groupoid(["a", "b"])))
-    (HERE / "malformed_version.json").write_text(text.replace('"version": "1"', '"version": "2"'))
+    (out / "malformed_version.json").write_text(text.replace('"version": "1"', '"version": "2"'))
     print("wrote malformed_version.json")
-    (HERE / "malformed_extra_field.json").write_text(
+    (out / "malformed_extra_field.json").write_text(
         text.replace('"version": "1"', '"version": "1",\n  "zzz_extra": true')
     )
     print("wrote malformed_extra_field.json")
     payload = docs.encode_groupoid(pair_groupoid(["a", "b"]))
     payload["notes"] = "unexpected"
-    (HERE / "malformed_payload_field.json").write_text(docs.dump_document("groupoid", payload))
+    (out / "malformed_payload_field.json").write_text(docs.dump_document("groupoid", payload))
     print("wrote malformed_payload_field.json")
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line tool over the fixture corpus."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -247,3 +248,68 @@ def test_nerve_reports_a_non_invertible_cell(tmp_path):
         "level 2: 2 simplices",
         "error: 2-cell e is not invertible",
     ]
+
+
+def _mutated(tmp_path, name, mutate):
+    """A copy of a fixture written to tmp_path after mutate(payload)."""
+    doc = json.loads((FIXTURES / name).read_text())
+    mutate(doc["payload"])
+    path = tmp_path / f"mutated_{name}"
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    return path
+
+
+def _laws(result, prefix=""):
+    """The law named by each output line, all of which read
+    '<prefix><law> fails ...'; fails on a traceback or a stray line."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.splitlines()
+    assert lines and all(line.startswith(prefix) and " fails" in line for line in lines)
+    return {line[len(prefix) :].partition(" fails")[0] for line in lines}
+
+
+def test_verify_checks_the_embedded_category(tmp_path):
+    def move_hcompose(p):
+        hc = p["category"]["hcompose"]
+        hc[hc.index(["1", "1", "2"])] = ["1", "1", "3"]
+
+    path = _mutated(tmp_path, "simplex_table.json", move_hcompose)
+    assert "associativity" in _laws(run("verify", path), "payload.category: ")
+
+    def empty_vcompose(p):
+        p["category"]["vcompose"] = []
+
+    path = _mutated(tmp_path, "simplex_table.json", empty_vcompose)
+    assert _laws(run("verify", path), "payload.category: ") == {"composability"}
+    path = _mutated(tmp_path, "horn_table_32.json", empty_vcompose)
+    assert _laws(run("verify", path), "payload.category: ") == {"composability"}
+    assert _laws(run("fill", path), "payload.category: ") == {"composability"}
+
+
+@pytest.mark.parametrize("name", ["ruth_sheared.json", "functor.json"])
+def test_verify_checks_the_embedded_groupoid(tmp_path, name):
+    def drop_compose(p):
+        comp = p["groupoid"]["compose"]
+        comp.remove(next(e for e in comp if e[0] != e[1]))
+
+    result = run("verify", _mutated(tmp_path, name, drop_compose))
+    assert _laws(result, "payload.groupoid: ") == {"composability"}
+    assert result.output.startswith("payload.groupoid: composability fails at ('a|a', 'a|b')")
+
+
+@pytest.mark.parametrize(
+    "name, table, detail",
+    [
+        ("morphism_ruth.json", "gamma", "pair has no correction in the source"),
+        ("morphism_lax.json", "compare", "no comparison cell in the source"),
+    ],
+    ids=["ruth", "lax"],
+)
+def test_verify_checks_morphism_source_totality(tmp_path, name, table, detail):
+    def drop_entry(p):
+        del p["source"][table][1]
+
+    result = run("verify", _mutated(tmp_path, name, drop_entry))
+    assert _laws(result) == {"totality"}
+    assert result.output == f"totality fails at ('a|a', 'a|b'): {detail}\n"
