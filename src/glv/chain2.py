@@ -6,8 +6,15 @@ chain maps alpha, alpha' is a matrix R: V0 -> V1' with
 
     R @ d  = alpha1 - alpha'1        d' @ R = alpha0 - alpha'0
 
-(read "source minus target").  Both validity conditions are decidable and
-enforced at construction time.
+(read "source minus target").  Both validity conditions are decidable.
+
+Data is checked once, where it enters: the public constructors check the
+chain condition and the homotopy equations (and ``GLArrow`` the
+quasi-isomorphism test).  The derived operations here and in ``gl2`` --
+identities, composites, whiskers, vertical and horizontal composites,
+inverse cells and quasi-inverses -- build their results unchecked with
+``_trusted``, because Theorem 1 (the symmetries of 2-term complexes form a
+2-groupoid) makes every such result of valid inputs valid.
 """
 
 from __future__ import annotations
@@ -73,8 +80,18 @@ class ChainMap2:
             raise ValueError("chain condition fails")
 
 
+def _trusted(cls, *values):
+    """An instance of the frozen dataclass cls with its fields set to values
+    in order, built without __post_init__: only for values derived from
+    checked ones by an operation that preserves validity."""
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def identity_chain_map(f: Fiber2) -> ChainMap2:
-    return ChainMap2(f, f, RatMatrix.identity(f.dim1), RatMatrix.identity(f.dim0))
+    return _trusted(ChainMap2, f, f, RatMatrix.identity(f.dim1), RatMatrix.identity(f.dim0))
 
 
 def zero_chain_map(src: Fiber2, dst: Fiber2) -> ChainMap2:
@@ -87,7 +104,7 @@ def compose_chain_maps(g: ChainMap2, f: ChainMap2) -> ChainMap2:
     """g after f."""
     if f.dst != g.src:
         raise ValueError("chain maps are not composable")
-    return ChainMap2(f.src, g.dst, g.a1 @ f.a1, g.a0 @ f.a0)
+    return _trusted(ChainMap2, f.src, g.dst, g.a1 @ f.a1, g.a0 @ f.a0)
 
 
 @dataclass(frozen=True)

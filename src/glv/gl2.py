@@ -18,6 +18,8 @@ of a quasi-isomorphism: a retraction of the injection gives the degree-1
 component of the inverse together with the unit homotopy, and a compatible
 section of the surjection gives the degree-0 component together with the
 counit homotopy.
+
+Derived arrows and cells are built unchecked; see ``chain2``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .chain2 import (
     ChainMap2,
     Fiber2,
     Homotopy2,
+    _trusted,
     are_homotopic,
     compose_chain_maps,
     find_homotopy,
@@ -82,43 +85,39 @@ class GL2Cell:
         # delegates the homotopy equations to the checked constructor
         Homotopy2(self.source.map, self.target.map, self.r)
 
-    @property
-    def homotopy(self) -> Homotopy2:
-        return Homotopy2(self.source.map, self.target.map, self.r)
-
 
 def identity_arrow(x: GLObject) -> GLArrow:
-    return GLArrow(x, x, identity_chain_map(x.fiber))
+    return _trusted(GLArrow, x, x, identity_chain_map(x.fiber))
 
 
 def compose_arrows(g: GLArrow, f: GLArrow) -> GLArrow:
     """g after f."""
     if f.dst != g.src:
         raise ValueError("arrows are not composable")
-    return GLArrow(f.src, g.dst, compose_chain_maps(g.map, f.map))
+    return _trusted(GLArrow, f.src, g.dst, compose_chain_maps(g.map, f.map))
 
 
 def identity_cell(f: GLArrow) -> GL2Cell:
-    return GL2Cell(f, f, RatMatrix.zeros(f.dst.fiber.dim1, f.src.fiber.dim0))
+    return _trusted(GL2Cell, f, f, RatMatrix.zeros(f.dst.fiber.dim1, f.src.fiber.dim0))
 
 
 def vcompose(s: GL2Cell, r: GL2Cell) -> GL2Cell:
     """Vertical composite: r first, then s."""
     if r.target != s.source:
         raise ValueError("2-cells are not vertically composable")
-    return GL2Cell(r.source, s.target, s.r + r.r)
+    return _trusted(GL2Cell, r.source, s.target, s.r + r.r)
 
 
 def invert_cell(r: GL2Cell) -> GL2Cell:
-    return GL2Cell(r.target, r.source, -r.r)
+    return _trusted(GL2Cell, r.target, r.source, -r.r)
 
 
 def whisker_left(g: GLArrow, r: GL2Cell) -> GL2Cell:
     """g(r): g . source(r) => g . target(r)."""
     if r.source.dst != g.src:
         raise ValueError("whiskering arrow does not attach on the left")
-    return GL2Cell(
-        compose_arrows(g, r.source), compose_arrows(g, r.target), g.a1 @ r.r
+    return _trusted(
+        GL2Cell, compose_arrows(g, r.source), compose_arrows(g, r.target), g.a1 @ r.r
     )
 
 
@@ -126,8 +125,8 @@ def whisker_right(r: GL2Cell, f: GLArrow) -> GL2Cell:
     """(r)f: source(r) . f => target(r) . f."""
     if f.dst != r.source.src:
         raise ValueError("whiskering arrow does not attach on the right")
-    return GL2Cell(
-        compose_arrows(r.source, f), compose_arrows(r.target, f), r.r @ f.a0
+    return _trusted(
+        GL2Cell, compose_arrows(r.source, f), compose_arrows(r.target, f), r.r @ f.a0
     )
 
 
@@ -140,7 +139,8 @@ def hcompose(s: GL2Cell, r: GL2Cell) -> GL2Cell:
     """
     if r.source.dst != s.source.src:
         raise ValueError("2-cells are not horizontally composable")
-    return GL2Cell(
+    return _trusted(
+        GL2Cell,
         compose_arrows(s.source, r.source),
         compose_arrows(s.target, r.target),
         s.source.a1 @ r.r + s.r @ r.target.a0,
@@ -194,8 +194,8 @@ def quasi_inverse(f: GLArrow) -> QuasiInverse:
     ry = RatMatrix(y.dim1, y.dim0, tuple(s.entry(i, j) for i in range(y.dim1) for j in range(y.dim0)))
     g0 = RatMatrix(x.dim0, y.dim0, tuple(-s.entry(y.dim1 + i, j) for i in range(x.dim0) for j in range(y.dim0)))
 
-    g = GLArrow(f.dst, f.src, ChainMap2(y, x, g1, g0))
-    unit = GL2Cell(identity_arrow(f.src), compose_arrows(g, f), rx)
-    counit = GL2Cell(identity_arrow(f.dst), compose_arrows(f, g), ry)
+    g = _trusted(GLArrow, f.dst, f.src, _trusted(ChainMap2, y, x, g1, g0))
+    unit = _trusted(GL2Cell, identity_arrow(f.src), compose_arrows(g, f), rx)
+    counit = _trusted(GL2Cell, identity_arrow(f.dst), compose_arrows(f, g), ry)
     return QuasiInverse(g, unit, counit)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .chain2 import ChainMap2, Fiber2, HomologyDims, homology, is_quasi_iso
+from .chain2 import ChainMap2, Fiber2, HomologyDims, _trusted, homology, is_quasi_iso
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows, identity_cell
 from .groupoid import FinGroupoid
 from .laxmaps import LaxFunctor, LaxTransformation, verify_lax_transformation
@@ -389,7 +389,7 @@ def components_to_transformation(
             raise ValueError(f"component at {x} does not give a valid map: {e}") from e
         if not is_quasi_iso(t):
             raise NotQuasiIsoError(f"component at {x} is not a quasi-isomorphism")
-        at_obj[x] = GLArrow(sx, dx, t)
+        at_obj[x] = _trusted(GLArrow, sx, dx, t)  # checked just above
     at_arrow = {}
     for a, r in mu.items():
         x, y = g.arrows[a]

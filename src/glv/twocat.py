@@ -120,9 +120,10 @@ def verify_2category(c: Fin2Cat) -> list[Violation]:
             out.append(Violation("composability", (s, r), "vertical"))
     for s, r in c.hcomposable_cell_pairs():
         h = c.hcomp.get((s, r))
+        # .get: a missing arrow composite is already reported above
         expect = (
-            c.comp1[(c.cell_src(s), c.cell_src(r))],
-            c.comp1[(c.cell_tgt(s), c.cell_tgt(r))],
+            c.comp1.get((c.cell_src(s), c.cell_src(r))),
+            c.comp1.get((c.cell_tgt(s), c.cell_tgt(r))),
         )
         if h is None or c.cells.get(h) != expect:
             out.append(Violation("composability", (s, r), "horizontal"))

@@ -313,3 +313,14 @@ def test_verify_checks_morphism_source_totality(tmp_path, name, table, detail):
     result = run("verify", _mutated(tmp_path, name, drop_entry))
     assert _laws(result) == {"totality"}
     assert result.output == f"totality fails at ('a|a', 'a|b'): {detail}\n"
+
+
+@pytest.mark.parametrize("verb", [("verify",), ("nerve", "--level", "2")], ids=["verify", "nerve"])
+def test_an_empty_compose_table_is_a_law_failure(tmp_path, verb):
+    def empty_compose(p):
+        p["compose"] = []
+
+    path = _mutated(tmp_path, "two_category_pair.json", empty_compose)
+    result = run(verb[0], path, *verb[1:])
+    assert _laws(result) == {"composability"}
+    assert "composability fails at ('a|a', 'a|a')" in result.output

@@ -1,0 +1,92 @@
+"""The exit contract of `glv verify` under random edits of the fixtures.
+
+Whatever the document, verify exits 0, 1 or 2 and raises nothing but
+SystemExit: a hostile document is a structural error or a named law
+failure, never a traceback.
+"""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from glv.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
+DOCUMENTS = {p.name: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
+EDITS = ("drop", "duplicate", "retype", "rename", "scalar", "empty")
+FOREIGN = (None, True, 0, 7, "", "x", "1/0", [], {}, [[]])
+SCALARS = ("0", "1", "-1", "2", "1/2", "a", "a|b")
+
+# One edit: a walk down from the payload (each number picks a nonempty child
+# table; a shorter walk edits a larger table), the entry to edit, the edit,
+# and a number that picks the new value or a sibling.
+edits = st.tuples(
+    st.lists(st.integers(0, 99), max_size=3),
+    st.integers(0, 99),
+    st.sampled_from(EDITS),
+    st.integers(0, 99),
+)
+
+
+def _children(node):
+    values = node.values() if isinstance(node, dict) else node
+    return [v for v in values if isinstance(v, (dict, list)) and v]
+
+
+def _apply(doc, walk, entry, edit, pick) -> None:
+    node = doc["payload"]
+    for i in walk:
+        inner = _children(node)
+        if not inner:
+            break
+        node = inner[i % len(inner)]
+    if not node:
+        return
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    key = keys[entry % len(keys)]
+    other = keys[pick % len(keys)]
+    value = node[key]
+    if edit == "drop":
+        del node[key]
+    elif edit == "duplicate" and isinstance(node, list):
+        node.insert(key, copy.deepcopy(value))
+    elif edit == "duplicate":
+        node[other] = copy.deepcopy(value)
+    elif edit == "retype":
+        node[key] = copy.deepcopy(FOREIGN[pick % len(FOREIGN)])
+    elif edit == "rename" and isinstance(node, dict):
+        node[key + "_x0"[pick % 3]] = node.pop(key)
+    elif edit == "rename":
+        node[key], node[other] = node[other], value
+    elif edit == "scalar" and isinstance(value, str):
+        node[key] = SCALARS[pick % len(SCALARS)]
+    elif edit == "scalar" and type(value) is int:
+        node[key] = value + (1 if pick % 2 else -1)
+    elif edit == "empty" and isinstance(value, (dict, list)):
+        node[key] = type(value)()
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("exit_contract")
+
+
+@given(st.sampled_from(sorted(DOCUMENTS)), st.lists(edits, min_size=1, max_size=3))
+@example("two_category_pair.json", [([], 3, "empty", 0)])  # "compose": []
+@settings(max_examples=300, deadline=None)
+def test_verify_keeps_the_exit_contract(scratch, name, plan):
+    doc = copy.deepcopy(DOCUMENTS[name])
+    for edit in plan:
+        _apply(doc, *edit)
+    path = scratch / "mutated.json"
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["verify", str(path)])
+    assert result.exit_code in (0, 1, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        f"{type(result.exception).__name__}: {result.exception}"
+    )

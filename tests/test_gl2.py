@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glv.chain2 import ChainMap2, Fiber2, identity_chain_map
 from glv.gl2 import (
@@ -185,3 +187,44 @@ def test_endpoint_mismatch_errors():
         vcompose(identity_cell(f), identity_cell(h))
     with pytest.raises(ValueError):
         hcompose(identity_cell(f), identity_cell(f))
+
+
+def rechecked_arrow(f):
+    """f rebuilt through the public constructors, which raise if it is invalid."""
+    return GLArrow(f.src, f.dst, ChainMap2(f.src.fiber, f.dst.fiber, f.a1, f.a0))
+
+
+def rechecked_cell(c):
+    return GL2Cell(rechecked_arrow(c.source), rechecked_arrow(c.target), c.r)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_derived_values_pass_the_public_constructors(seed):
+    # the derived operations build unchecked; rebuilding each result through
+    # the checked constructors must succeed and give the same value
+    rng = random.Random(seed)
+    (r2, r1), (s2, s1) = rand_interchange_square(rng)
+    f, g = r1.source, s1.source
+    qi = quasi_inverse(f)
+    arrows = {
+        "compose_arrows": compose_arrows(g, f),
+        "identity_arrow": identity_arrow(f.src),
+        "quasi_inverse": qi.inverse,
+    }
+    cells = {
+        "identity_cell": identity_cell(f),
+        "vcompose": vcompose(r2, r1),
+        "invert_cell": invert_cell(r1),
+        "whisker_left": whisker_left(g, r1),
+        "whisker_right": whisker_right(s1, f),
+        "hcompose": hcompose(s2, r2),
+        "unit": qi.unit,
+        "counit": qi.counit,
+    }
+    for rebuild, values in ((rechecked_arrow, arrows), (rechecked_cell, cells)):
+        for name, value in values.items():
+            try:
+                assert rebuild(value) == value, name
+            except ValueError as e:
+                pytest.fail(f"{name}: {e}")

@@ -2,10 +2,14 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import glv.gl2
+import glv.ruth
 from glv.chain2 import Fiber2
+from glv.documents import decode_ruth_morphism, load_document
 from glv.groupoid import action_groupoid, cyclic_group, pair_groupoid
 from glv.laxmaps import verify_lax_transformation
 from glv.linalg import RatMatrix
@@ -15,6 +19,7 @@ from glv.ruth import (
     Ruth2,
     RuthMorphism,
     as_lax_functor,
+    components_to_transformation,
     compose_morphisms,
     double_rep,
     fiber_homology,
@@ -256,3 +261,23 @@ def test_fiber_homology_reporting():
     hom = fiber_homology(r)
     assert all((h.h1, h.h0) == (2, 1) for h in hom.values())
     assert not is_acyclic(r)
+
+
+def test_components_to_transformation_checks_each_component_once(monkeypatch):
+    path = Path(__file__).parent / "fixtures" / "morphism_ruth.json"
+    m = decode_ruth_morphism(load_document(path.read_text())[1])
+    src, dst = ruth_to_pseudofunctor(m.src), ruth_to_pseudofunctor(m.dst)
+    calls = []
+
+    def counted(test):
+        def wrapper(t):
+            calls.append(t)
+            return test(t)
+
+        return wrapper
+
+    monkeypatch.setattr(glv.ruth, "is_quasi_iso", counted(glv.ruth.is_quasi_iso))
+    monkeypatch.setattr(glv.gl2, "is_quasi_iso", counted(glv.gl2.is_quasi_iso))
+    h = components_to_transformation(src, dst, m.theta1, m.theta0, m.mu)
+    assert len(h.at_obj) == 2 and len(h.at_arrow) == 4
+    assert len(calls) == 2
