@@ -154,17 +154,12 @@ def cokernel_projection(f: Fiber2) -> RatMatrix:
     comp = cokernel_complement(f)
     # A basis of im(d): the pivot columns of d.
     _, pivots = rref(f.d)
-    im_cols = [f.d.col(j) for j in pivots]
-    blocks = [RatMatrix.column(c) for c in im_cols]
-    basis = hstack(*(blocks + [comp])) if blocks or comp.cols else RatMatrix.zeros(f.dim0, 0)
+    basis = hstack(*(f.d.block(0, f.dim0, j, j + 1) for j in pivots), comp)
     if basis.cols != f.dim0:
         raise AssertionError("cokernel basis is not complete")
     inv = solve(basis, RatMatrix.identity(f.dim0))
     # last h0 rows of basis^{-1}
-    ent = tuple(
-        inv.entry(i, j) for i in range(basis.cols - h.h0, basis.cols) for j in range(f.dim0)
-    )
-    return RatMatrix(h.h0, f.dim0, ent)
+    return inv.block(basis.cols - h.h0, basis.cols, 0, f.dim0)
 
 
 def induced_homology_maps(m: ChainMap2) -> tuple[RatMatrix, RatMatrix]:
@@ -260,8 +255,8 @@ def chain_map_from_vector(src: Fiber2, dst: Fiber2, v: RatMatrix) -> ChainMap2:
     n0 = dst.dim0 * src.dim0
     if v.cols != 1 or v.rows != n1 + n0:
         raise ValueError("stacked vector has the wrong shape")
-    a1 = RatMatrix(dst.dim1, src.dim1, v.entries[:n1])
-    a0 = RatMatrix(dst.dim0, src.dim0, v.entries[n1:])
+    a1 = unvec(v.block(0, n1, 0, 1), dst.dim1, src.dim1)
+    a0 = unvec(v.block(n1, n1 + n0, 0, 1), dst.dim0, src.dim0)
     return ChainMap2(src, dst, a1, a0)
 
 

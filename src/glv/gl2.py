@@ -189,10 +189,10 @@ def quasi_inverse(f: GLArrow) -> QuasiInverse:
     middle = y.dim1 + x.dim0
     s = (RatMatrix.identity(middle) - m @ r) @ e_plus
 
-    g1 = RatMatrix(x.dim1, y.dim1, tuple(r.entry(i, j) for i in range(x.dim1) for j in range(y.dim1)))
-    rx = RatMatrix(x.dim1, x.dim0, tuple(r.entry(i, y.dim1 + j) for i in range(x.dim1) for j in range(x.dim0)))
-    ry = RatMatrix(y.dim1, y.dim0, tuple(s.entry(i, j) for i in range(y.dim1) for j in range(y.dim0)))
-    g0 = RatMatrix(x.dim0, y.dim0, tuple(-s.entry(y.dim1 + i, j) for i in range(x.dim0) for j in range(y.dim0)))
+    g1 = r.block(0, x.dim1, 0, y.dim1)
+    rx = r.block(0, x.dim1, y.dim1, middle)
+    ry = s.block(0, y.dim1, 0, y.dim0)
+    g0 = -s.block(y.dim1, middle, 0, y.dim0)
 
     g = _trusted(GLArrow, f.dst, f.src, _trusted(ChainMap2, y, x, g1, g0))
     unit = _trusted(GL2Cell, identity_arrow(f.src), compose_arrows(g, f), rx)

@@ -1,17 +1,30 @@
 """Exact dense linear algebra over the rationals.
 
-Matrices are immutable, row-major tuples of ``fractions.Fraction``.  Zero-row
-and zero-column matrices are legal and stand for maps in or out of the zero
-space.  Every routine is deterministic: pivots are chosen left to right, top
-to bottom, and free coordinates of solutions are set to zero, so equal inputs
-produce bit-equal outputs.
+A matrix is stored as integer numerators over one common denominator:
+``nums`` is a row-major tuple of ``int`` and ``den`` a positive ``int``, kept
+in canonical form, ``gcd(den, *nums) == 1``.  Equal matrices therefore have
+equal fields, and equality and hashing are tuple compares.  Entry (i, j) is
+``Fraction(nums[i * cols + j], den)``; ``entries`` builds the tuple of
+``fractions.Fraction`` on demand and is never stored.
+
+The kernel computes on integers only.  Sums, products, stacks and Kronecker
+products combine numerators and reduce by one gcd.  Elimination is
+fraction-free: a row update is ``p * row - f * pivot_row`` followed by a
+division by the row's gcd, and pivots are divided out once, when a result is
+built.  ``RatMatrix(rows, cols, entries)`` is the checked public constructor;
+every derived matrix is built by ``_canon``.
+
+Zero-row and zero-column matrices are legal and stand for maps in or out of
+the zero space.  Every routine is deterministic: pivots are chosen left to
+right, top to bottom, and free coordinates of solutions are set to zero, so
+equal inputs produce bit-equal outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Sequence
 
 
@@ -27,19 +40,49 @@ def _rat(x) -> Fraction:
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
-@dataclass(frozen=True)
 class RatMatrix:
-    """A rows x cols matrix of Fractions, stored row-major."""
+    """A rows x cols rational matrix: row-major integer numerators ``nums``
+    over one positive denominator ``den``, with gcd(den, *nums) == 1."""
+
+    __slots__ = ("rows", "cols", "nums", "den")
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, rows: int, cols: int, entries: Sequence) -> RatMatrix:
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        if len(self.entries) != self.rows * self.cols:
+        ents = [_rat(x) for x in entries]
+        if len(ents) != rows * cols:
             raise ValueError("entry count does not match shape")
+        # Entries in lowest terms over the lcm of their denominators are
+        # canonical, by the argument given for the stacks below.
+        den = lcm(*(x.denominator for x in ents))
+        return _raw(rows, cols, tuple([x.numerator * (den // x.denominator) for x in ents]), den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not RatMatrix:
+            return NotImplemented
+        return (
+            self.den == other.den
+            and self.rows == other.rows
+            and self.cols == other.cols
+            and self.nums == other.nums
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"RatMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(data: Sequence[Sequence]) -> RatMatrix:
@@ -48,93 +91,134 @@ class RatMatrix:
         for r in data:
             if len(r) != cols:
                 raise ValueError("ragged rows")
-        return RatMatrix(rows, cols, tuple(_rat(x) for row in data for x in row))
+        return RatMatrix(rows, cols, [x for row in data for x in row])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> RatMatrix:
-        return RatMatrix(rows, cols, (Fraction(0),) * (rows * cols))
+        return _raw(rows, cols, (0,) * (rows * cols), 1)
 
     @staticmethod
     def identity(n: int) -> RatMatrix:
-        ent = [Fraction(0)] * (n * n)
-        for i in range(n):
-            ent[i * n + i] = Fraction(1)
-        return RatMatrix(n, n, tuple(ent))
+        nums = [0] * (n * n)
+        nums[:: n + 1] = [1] * n
+        return _raw(n, n, tuple(nums), 1)
 
     @staticmethod
     def column(values: Sequence) -> RatMatrix:
-        vals = tuple(_rat(x) for x in values)
+        vals = list(values)
         return RatMatrix(len(vals), 1, vals)
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple([Fraction(x, den) for x in self.nums])
 
     def entry(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return self.entries[i * self.cols + j]
+        return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple([self.entry(i, j) for i in range(self.rows)])
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        e, c = self.entries, self.cols
+        return [list(e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     @property
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries)
+        return not any(self.nums)
+
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> RatMatrix:
+        """The sub-matrix of rows r0:r1 and columns c0:c1."""
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise IndexError((r0, r1, c0, c1))
+        n, c = self.nums, self.cols
+        nums = tuple([x for i in range(r0, r1) for x in n[i * c + c0 : i * c + c1]])
+        return _canon(r1 - r0, c1 - c0, nums, self.den)
 
     def transpose(self) -> RatMatrix:
-        ent = tuple(
-            self.entries[i * self.cols + j]
-            for j in range(self.cols)
-            for i in range(self.rows)
-        )
-        return RatMatrix(self.cols, self.rows, ent)
+        n, c = self.nums, self.cols
+        return _raw(c, self.rows, tuple([x for j in range(c) for x in n[j::c]]), self.den)
 
     def __add__(self, other: RatMatrix) -> RatMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        return _combine(self, other, add)
 
     def __sub__(self, other: RatMatrix) -> RatMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
-        return RatMatrix(
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
+        return _combine(self, other, sub)
 
     def __neg__(self) -> RatMatrix:
-        return RatMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return _raw(self.rows, self.cols, tuple([-x for x in self.nums]), self.den)
 
     def scale(self, c) -> RatMatrix:
         c = _rat(c)
-        return RatMatrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        p = c.numerator
+        return _canon(self.rows, self.cols, tuple([p * x for x in self.nums]), c.denominator * self.den)
 
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch in product: {self.rows}x{self.cols} @ {other.rows}x{other.cols}"
             )
-        n, m, k = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [Fraction(0)] * (n * k)
-        for i in range(n):
-            for t in range(m):
-                ait = a[i * m + t]
-                if ait == 0:
-                    continue
-                base = t * k
-                row = i * k
-                for j in range(k):
-                    out[row + j] += ait * b[base + j]
-        return RatMatrix(n, k, tuple(out))
+        m, k = self.cols, other.cols
+        a, b = self.nums, other.nums
+        arows = [a[i * m : (i + 1) * m] for i in range(self.rows)]
+        bcols = [b[j::k] for j in range(k)]
+        nums = tuple([sum(map(mul, row, col)) for row in arows for col in bcols])
+        return _canon(self.rows, k, nums, self.den * other.den)
+
+
+# Every tuple of numerators is built as tuple([...]), not from a generator:
+# a tuple built from a generator starts at a guessed length and is resized,
+# which takes it off one free list and frees it onto another, and the free
+# lists then grew by about 0.5 MB of peak memory over a gl-horns run.
+_new = object.__new__
+# The slot setters write past RatMatrix.__setattr__, as a frozen dataclass does.
+_set_rows, _set_cols, _set_nums, _set_den = (RatMatrix.__dict__[f].__set__ for f in RatMatrix.__slots__)
+
+
+def _raw(rows: int, cols: int, nums: tuple[int, ...], den: int) -> RatMatrix:
+    # nums / den, already canonical.
+    m = _new(RatMatrix)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_nums(m, nums)
+    _set_den(m, den)
+    return m
+
+
+def _canon(rows: int, cols: int, nums: tuple[int, ...], den: int) -> RatMatrix:
+    """The matrix nums / den (den > 0), reduced to canonical form."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple([x // g for x in nums])
+            den //= g
+    return _raw(rows, cols, nums, den)
+
+
+def _over(m: RatMatrix, den: int) -> tuple[int, ...]:
+    """The numerators of m over den, a multiple of m.den."""
+    f = den // m.den
+    return m.nums if f == 1 else tuple([f * x for x in m.nums])
+
+
+def _combine(a: RatMatrix, b: RatMatrix, op) -> RatMatrix:
+    den = lcm(a.den, b.den)
+    return _canon(a.rows, a.cols, tuple(list(map(op, _over(a, den), _over(b, den)))), den)
+
+
+# Canonical matrices written over the lcm of their denominators stay
+# canonical: for each prime power p^e exactly dividing the lcm, the matrix
+# whose denominator p^e divides has a numerator prime to p, and its factor
+# lcm / den is prime to p.  So the stacks need no gcd.
 
 
 def hstack(*mats: RatMatrix) -> RatMatrix:
@@ -143,11 +227,10 @@ def hstack(*mats: RatMatrix) -> RatMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch in hstack")
-    ent: list[Fraction] = []
-    for i in range(rows):
-        for m in mats:
-            ent.extend(m.row(i))
-    return RatMatrix(rows, sum(m.cols for m in mats), tuple(ent))
+    den = lcm(*(m.den for m in mats))
+    parts = [(m.cols, _over(m, den)) for m in mats]
+    nums = tuple([x for i in range(rows) for c, n in parts for x in n[i * c : (i + 1) * c]])
+    return _raw(rows, sum(m.cols for m in mats), nums, den)
 
 
 def vstack(*mats: RatMatrix) -> RatMatrix:
@@ -156,58 +239,71 @@ def vstack(*mats: RatMatrix) -> RatMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("column count mismatch in vstack")
-    ent: list[Fraction] = []
-    for m in mats:
-        ent.extend(m.entries)
-    return RatMatrix(sum(m.rows for m in mats), cols, tuple(ent))
+    den = lcm(*(m.den for m in mats))
+    nums = tuple([x for m in mats for x in _over(m, den)])
+    return _raw(sum(m.rows for m in mats), cols, nums, den)
 
 
-def _reduce(a: list[list[Fraction]], ncols: int) -> list[int]:
-    # Reduce the rows a in place to reduced row echelon form over their first
-    # ncols columns, applying every row operation to the whole row; returns the
-    # pivot columns.  Pivot entries become 1 and alone in their column.  Left
-    # of its pivot a pivot row is zero, so each operation starts at the pivot.
+def _int_rows(m: RatMatrix) -> list[list[int]]:
+    n, c = m.nums, m.cols
+    return [list(n[i * c : (i + 1) * c]) for i in range(m.rows)]
+
+
+def _reduce(a: list[list[int]], ncols: int) -> list[int]:
+    # Reduce the integer rows a in place, fraction-free, over their first
+    # ncols columns; returns the pivot columns.  Afterwards the k-th row
+    # divided by its entry in the k-th pivot column is the k-th row of the
+    # reduced row echelon form, and the rows past the pivots are zero there.
+    # Every update p * row - f * pivot_row clears one entry and keeps the
+    # row's value up to a factor, which dividing by its gcd keeps small.
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == len(a):
             break
-        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pivot_row is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = 1 / a[r][c]
-        a[r][c:] = [x * inv for x in a[r][c:]]
-        tail = a[r][c:]
+        prow = a[pivot_row]
+        g = gcd(*prow)
+        if g != 1:
+            prow = [x // g for x in prow]
+        a[pivot_row] = a[r]
+        a[r] = prow
+        p = prow[c]
         for i, row in enumerate(a):
             f = row[c]
-            if i != r and f != 0:
-                row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+            if f and i != r:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                row = [pg * x - fg * y for x, y in zip(row, prow)]
+                g = gcd(*row)
+                a[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
     return pivots
 
 
+def _pivot_den(a: list[list[int]], pivots: list[int]) -> int:
+    # Each reduced row divided by its pivot has integer numerators over this.
+    return lcm(*(row[c] for row, c in zip(a, pivots)))
+
+
 def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
-    a = m.to_lists()
+    a = _int_rows(m)
     pivots = _reduce(a, m.cols)
-    flat = tuple(x for row in a for x in row)
-    return RatMatrix(m.rows, m.cols, flat), tuple(pivots)
+    den = _pivot_den(a, pivots)
+    nums = [x * (den // row[c]) for row, c in zip(a, pivots) for x in row]
+    nums += [0] * ((m.rows - len(pivots)) * m.cols)
+    return _canon(m.rows, m.cols, tuple(nums), den), tuple(pivots)
 
 
 def rank(m: RatMatrix) -> int:
-    """Fraction-free: each row is scaled to integers by the lcm of its
-    denominators, then Bareiss elimination divides every update exactly by
-    the previous pivot, which keeps the integers at the size of minors of m."""
+    """Fraction-free: Bareiss elimination on the numerators divides every
+    update exactly by the previous pivot, which keeps the integers at the
+    size of minors of m."""
+    a = [row for row in _int_rows(m) if any(row)]
     k = m.cols
-    e = m.entries
-    a = []
-    for i in range(m.rows):
-        row = e[i * k : (i + 1) * k]
-        scale = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (scale // x.denominator) for x in row]
-        if any(ints):
-            a.append(ints)
     r, prev = 0, 1
     for c in range(k):
         if r == len(a):
@@ -229,15 +325,16 @@ def rank(m: RatMatrix) -> int:
 
 def kernel_basis(m: RatMatrix) -> RatMatrix:
     """Columns form a basis of ker(m); free coordinates are unit vectors."""
-    a = m.to_lists()
+    a = _int_rows(m)
     pivots = _reduce(a, m.cols)
     free = [c for c in range(m.cols) if c not in pivots]
-    ent = [[Fraction(0)] * len(free) for _ in range(m.cols)]
+    den = _pivot_den(a, pivots)
+    ent = [[0] * len(free) for _ in range(m.cols)]
     for idx, f in enumerate(free):
-        ent[f][idx] = Fraction(1)
-        for i, p in enumerate(pivots):
-            ent[p][idx] = -a[i][f]
-    return RatMatrix(m.cols, len(free), tuple(x for row in ent for x in row))
+        ent[f][idx] = den
+        for row, p in zip(a, pivots):
+            ent[p][idx] = -row[f] * (den // row[p])
+    return _canon(m.cols, len(free), tuple([x for row in ent for x in row]), den)
 
 
 def basis_completion(m: RatMatrix) -> RatMatrix:
@@ -247,29 +344,36 @@ def basis_completion(m: RatMatrix) -> RatMatrix:
     e_i is kept when it lies outside the span of m and of the e_j kept
     before it, which makes the chosen vectors exactly the pivot columns of
     rref([m | I]) past the columns of m."""
-    _, pivots = rref(hstack(m, RatMatrix.identity(m.rows)))
+    ext = hstack(m, RatMatrix.identity(m.rows))
+    pivots = _reduce(_int_rows(ext), ext.cols)
     picked = [p - m.cols for p in pivots if p >= m.cols]
-    ent = tuple(Fraction(1 if i == j else 0) for i in range(m.rows) for j in picked)
-    return RatMatrix(m.rows, len(picked), ent)
+    nums = tuple([int(i == j) for i in range(m.rows) for j in picked])
+    return _raw(m.rows, len(picked), nums, 1)
 
 
 def solve(m: RatMatrix, b: RatMatrix) -> RatMatrix:
     """One solution X of m @ X = b, free coordinates zero.
 
-    Reduces the augmented rows [m | b] over the columns of m.
-    Raises NoSolutionError when some column of b is outside the image.
+    Reduces the integer rows [m | b] written over the lcm of their
+    denominators, over the columns of m.  Raises NoSolutionError when some
+    column of b is outside the image.
     """
     if m.rows != b.rows:
         raise ValueError("shape mismatch in solve")
-    a = [list(m.row(i) + b.row(i)) for i in range(m.rows)]
-    pivots = _reduce(a, m.cols)
+    mc, bc = m.cols, b.cols
+    common = lcm(m.den, b.den)
+    mn, bn = _over(m, common), _over(b, common)
+    a = [list(mn[i * mc : (i + 1) * mc] + bn[i * bc : (i + 1) * bc]) for i in range(m.rows)]
+    pivots = _reduce(a, mc)
     for row in a[len(pivots) :]:
-        if any(x != 0 for x in row[m.cols :]):
+        if any(row[mc:]):
             raise NoSolutionError("inconsistent linear system")
-    ent = [[Fraction(0)] * b.cols for _ in range(m.cols)]
+    den = _pivot_den(a, pivots)
+    ent = [[0] * bc for _ in range(mc)]
     for row, p in zip(a, pivots):
-        ent[p] = row[m.cols :]
-    return RatMatrix(m.cols, b.cols, tuple(x for row in ent for x in row))
+        f = den // row[p]
+        ent[p] = [x * f for x in row[mc:]]
+    return _canon(mc, bc, tuple([x for row in ent for x in row]), den)
 
 
 def try_solve(m: RatMatrix, b: RatMatrix) -> RatMatrix | None:
@@ -295,26 +399,18 @@ def right_inverse(m: RatMatrix) -> RatMatrix:
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Kronecker product; with row-major vec, vec(A X B) = (A kron B^T) vec(X)."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    ent = [Fraction(0)] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.entry(i, j)
-            if aij == 0:
-                continue
-            for p in range(b.rows):
-                base = (i * b.rows + p) * cols + j * b.cols
-                for q in range(b.cols):
-                    ent[base + q] = aij * b.entry(p, q)
-    return RatMatrix(rows, cols, tuple(ent))
+    arows = [a.nums[i * a.cols : (i + 1) * a.cols] for i in range(a.rows)]
+    brows = [b.nums[p * b.cols : (p + 1) * b.cols] for p in range(b.rows)]
+    nums = tuple([x * y for ar in arows for br in brows for x in ar for y in br])
+    return _canon(a.rows * b.rows, a.cols * b.cols, nums, a.den * b.den)
 
 
 def vec(m: RatMatrix) -> RatMatrix:
     """Row-major flattening as a column vector."""
-    return RatMatrix(m.rows * m.cols, 1, m.entries)
+    return _raw(m.rows * m.cols, 1, m.nums, m.den)
 
 
 def unvec(v: RatMatrix, rows: int, cols: int) -> RatMatrix:
     if v.cols != 1 or v.rows != rows * cols:
         raise ValueError("shape mismatch in unvec")
-    return RatMatrix(rows, cols, v.entries)
+    return _raw(rows, cols, v.nums, v.den)

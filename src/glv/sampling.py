@@ -25,7 +25,7 @@ from .chain2 import (
 )
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
 from .groupoid import FinGroupoid
-from .linalg import RatMatrix, basis_completion, hstack, left_inverse, rank, solve
+from .linalg import RatMatrix, basis_completion, hstack, left_inverse, rank, solve, unvec
 from .nerve import GLHandle, SimplexLabel, TableHandle, make_simplex
 from .ruth import Ruth2, RuthMorphism, compose_morphisms, double_rep
 
@@ -75,7 +75,7 @@ def _projection_to_minimal(x: Fiber2) -> ChainMap2:
     ker = kernel_inclusion(x.d)
     basis = hstack(ker, basis_completion(ker))
     inv = solve(basis, RatMatrix.identity(x.dim1))
-    p1 = RatMatrix(h.h1, x.dim1, tuple(inv.entry(i, j) for i in range(h.h1) for j in range(x.dim1)))
+    p1 = inv.block(0, h.h1, 0, x.dim1)
     p0 = cokernel_projection(x)
     return ChainMap2(x, minimal, p1, p0)
 
@@ -152,7 +152,7 @@ def rand_cell_between(rng: random.Random, f: GLArrow, g: GLArrow) -> GL2Cell:
     r = h.r
     if basis.cols:
         coeffs = RatMatrix.column([rand_rat(rng, 2) for _ in range(basis.cols)])
-        r = r + RatMatrix(r.rows, r.cols, (basis @ coeffs).entries)
+        r = r + unvec(basis @ coeffs, r.rows, r.cols)
     return GL2Cell(f, g, r)
 
 
@@ -443,7 +443,7 @@ def perturb_correction(rng: random.Random, r: Ruth2):
         coeffs[rng.randrange(basis.cols)] = Fraction(rng.randint(1, 3))
         col = basis @ RatMatrix.column(coeffs)
         old = r.gamma[(h, a)]
-        delta = RatMatrix(old.rows, old.cols, col.entries)
+        delta = unvec(col, old.rows, old.cols)
         gamma = dict(r.gamma)
         gamma[(h, a)] = old + delta
         return Ruth2(g, dict(r.fibers), dict(r.rho1), dict(r.rho0), gamma), (h, a)

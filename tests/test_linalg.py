@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from glv.linalg import (
     NoSolutionError,
     RatMatrix,
+    basis_completion,
     hstack,
     kernel_basis,
     kron,
@@ -45,11 +47,11 @@ def _wide(draw, rows, cols):
 
 
 @st.composite
-def wide_matrices(draw, max_dim):
+def wide_matrices(draw, max_dim, rows=None, cols=None):
     """Wide entries, some rows, columns and entries zeroed, and products
     A @ B with a small inner dimension, so that the rank often falls short."""
-    r = draw(st.integers(0, max_dim))
-    c = draw(st.integers(0, max_dim))
+    r = rows if rows is not None else draw(st.integers(0, max_dim))
+    c = cols if cols is not None else draw(st.integers(0, max_dim))
     if draw(st.booleans()):
         k = draw(st.integers(0, 2))
         m = _wide(draw, r, k) @ _wide(draw, k, c)
@@ -80,6 +82,108 @@ def reference_rank(m):
             rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         r += 1
     return r
+
+
+# Reference implementations over Fraction: the bodies linalg had before its
+# kernel moved to integer numerators.  Each returns (rows, cols, entries).
+
+
+def reference_matmul(x, y):
+    n, m, k = x.rows, x.cols, y.cols
+    a, b = x.entries, y.entries
+    out = [Fraction(0)] * (n * k)
+    for i in range(n):
+        for t in range(m):
+            ait = a[i * m + t]
+            if ait == 0:
+                continue
+            for j in range(k):
+                out[i * k + j] += ait * b[t * k + j]
+    return n, k, tuple(out)
+
+
+def reference_reduce(a, ncols):
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(a):
+            break
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        inv = 1 / a[r][c]
+        a[r][c:] = [x * inv for x in a[r][c:]]
+        tail = a[r][c:]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and f != 0:
+                row[c:] = [x - f * y for x, y in zip(row[c:], tail)]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def reference_rref(m):
+    a = m.to_lists()
+    pivots = reference_reduce(a, m.cols)
+    return (m.rows, m.cols, tuple(x for row in a for x in row)), tuple(pivots)
+
+
+def reference_kernel_basis(m):
+    a = m.to_lists()
+    pivots = reference_reduce(a, m.cols)
+    free = [c for c in range(m.cols) if c not in pivots]
+    ent = [[Fraction(0)] * len(free) for _ in range(m.cols)]
+    for idx, f in enumerate(free):
+        ent[f][idx] = Fraction(1)
+        for i, p in enumerate(pivots):
+            ent[p][idx] = -a[i][f]
+    return m.cols, len(free), tuple(x for row in ent for x in row)
+
+
+def reference_basis_completion(m):
+    a = [row + [Fraction(int(i == j)) for j in range(m.rows)] for i, row in enumerate(m.to_lists())]
+    picked = [p - m.cols for p in reference_reduce(a, m.cols + m.rows) if p >= m.cols]
+    return m.rows, len(picked), tuple(Fraction(int(i == j)) for i in range(m.rows) for j in picked)
+
+
+def reference_solve(m, b):
+    """None where the system has no solution."""
+    a = [list(m.row(i) + b.row(i)) for i in range(m.rows)]
+    pivots = reference_reduce(a, m.cols)
+    if any(x != 0 for row in a[len(pivots) :] for x in row[m.cols :]):
+        return None
+    ent = [[Fraction(0)] * b.cols for _ in range(m.cols)]
+    for row, p in zip(a, pivots):
+        ent[p] = row[m.cols :]
+    return m.cols, b.cols, tuple(x for row in ent for x in row)
+
+
+def reference_kron(a, b):
+    ent = tuple(
+        a.entry(i, j) * b.entry(p, q)
+        for i in range(a.rows)
+        for p in range(b.rows)
+        for j in range(a.cols)
+        for q in range(b.cols)
+    )
+    return a.rows * b.rows, a.cols * b.cols, ent
+
+
+def assert_canonical(m):
+    assert type(m.den) is int and m.den > 0
+    assert len(m.nums) == m.rows * m.cols
+    assert all(type(x) is int for x in m.nums)
+    assert gcd(m.den, *m.nums) == 1
+
+
+def assert_matches(got, want):
+    """got equals the reference (rows, cols, entries) in value and type."""
+    assert_canonical(got)
+    assert (got.rows, got.cols) == want[:2]
+    assert got.entries == want[2]
+    assert all(type(x) is Fraction for x in got.entries)
 
 
 def test_rank_example():
@@ -225,3 +329,123 @@ def test_determinism_bit_exact():
     m = RatMatrix.from_rows([[2, 4, 1], [1, 2, 3], [3, 6, 4]])
     assert rref(m) == rref(m)
     assert kernel_basis(m).entries == kernel_basis(m).entries
+
+
+def test_public_constructor_rejects_non_rational_entries():
+    with pytest.raises(TypeError):
+        RatMatrix(1, 1, (0.5,))
+    with pytest.raises(TypeError):
+        RatMatrix(1, 2, (1, None))
+    with pytest.raises(ValueError):
+        RatMatrix(1, 1, ("x",))
+    with pytest.raises(TypeError):
+        RatMatrix.from_rows([[1, 2.0]])
+    with pytest.raises(TypeError):
+        RatMatrix.column([0.25])
+    m = RatMatrix(1, 3, (1, "1/2", Fraction(-2, 4)))
+    assert m.entries == (1, Fraction(1, 2), Fraction(-1, 2))
+    assert (m.nums, m.den) == ((2, 1, -1), 2)
+
+
+def test_matrices_are_immutable():
+    m = RatMatrix.identity(2)
+    for name in ("rows", "cols", "nums", "den", "entries"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(m, name))
+
+
+@given(wide_matrices(4), wide_rationals, st.data())
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_the_fraction_reference(a, c, data):
+    r, k = a.rows, a.cols
+    e = a.entries
+    b = data.draw(wide_matrices(4, rows=r, cols=k))
+    assert_matches(a + b, (r, k, tuple(x + y for x, y in zip(e, b.entries))))
+    assert_matches(a - b, (r, k, tuple(x - y for x, y in zip(e, b.entries))))
+    assert_matches(-a, (r, k, tuple(-x for x in e)))
+    assert_matches(a.scale(c), (r, k, tuple(c * x for x in e)))
+    assert_matches(a.transpose(), (k, r, tuple(a.entry(i, j) for j in range(k) for i in range(r))))
+    other = data.draw(wide_matrices(4, cols=data.draw(st.integers(0, 3)), rows=k))
+    assert_matches(a @ other, reference_matmul(a, other))
+    small = data.draw(wide_matrices(2))
+    assert_matches(kron(a, small), reference_kron(a, small))
+    left = data.draw(wide_matrices(3, rows=r))
+    assert_matches(
+        hstack(a, left),
+        (r, k + left.cols, tuple(x for i in range(r) for x in a.row(i) + left.row(i))),
+    )
+    top = data.draw(wide_matrices(3, cols=k))
+    assert_matches(vstack(top, a), (top.rows + r, k, top.entries + e))
+    r0, r1 = sorted(data.draw(st.tuples(st.integers(0, r), st.integers(0, r))))
+    c0, c1 = sorted(data.draw(st.tuples(st.integers(0, k), st.integers(0, k))))
+    block = tuple(a.entry(i, j) for i in range(r0, r1) for j in range(c0, c1))
+    assert_matches(a.block(r0, r1, c0, c1), (r1 - r0, c1 - c0, block))
+    assert_matches(vec(a), (r * k, 1, e))
+    assert_matches(unvec(vec(a), r, k), (r, k, e))
+
+
+def _check_elimination(m, b):
+    want, want_pivots = reference_rref(m)
+    got, pivots = rref(m)
+    assert_matches(got, want)
+    assert pivots == want_pivots
+    assert_matches(kernel_basis(m), reference_kernel_basis(m))
+    assert_matches(basis_completion(m), reference_basis_completion(m))
+    want = reference_solve(m, b)
+    if want is None:
+        with pytest.raises(NoSolutionError):
+            solve(m, b)
+    else:
+        assert_matches(solve(m, b), want)
+
+
+@given(wide_matrices(5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_the_fraction_reference(m, data):
+    k = data.draw(st.integers(0, 3))
+    x = data.draw(wide_matrices(3, rows=m.cols, cols=k))
+    _check_elimination(m, m @ x)
+    _check_elimination(m, data.draw(wide_matrices(3, rows=m.rows, cols=k)))
+
+
+@pytest.mark.parametrize(
+    "rows, b",
+    [
+        # negative pivots, full rank
+        ([[-2, 1, 0], [1, -3, 1], [0, 1, "-1/2"]], [[1], [-1], ["2/3"]]),
+        # negative pivots, rank deficient, consistent and not
+        ([[-3, 6, "-3/2"], [2, -4, 1]], [[3, 0], [-2, 1]]),
+        ([[0, "-1/3", 2], [0, "2/3", -4], [0, 0, 0]], [["1/3"], ["-2/3"], [0]]),
+    ],
+)
+def test_elimination_examples_match_the_fraction_reference(rows, b):
+    _check_elimination(RatMatrix.from_rows(rows), RatMatrix.from_rows(b))
+
+
+@pytest.mark.parametrize("r, c, k", [(0, 0, 0), (0, 3, 2), (3, 0, 2), (2, 2, 0)])
+def test_elimination_on_empty_shapes_matches_the_fraction_reference(r, c, k):
+    _check_elimination(RatMatrix.zeros(r, c), RatMatrix.zeros(r, k))
+
+
+@given(wide_matrices(4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_equal_matrices_built_along_different_paths_are_equal(m, data):
+    r, c = m.rows, m.cols
+    i = data.draw(st.integers(0, r))
+    j = data.draw(st.integers(0, c))
+    same = [
+        m.scale(2).scale(Fraction(1, 2)),
+        (m + m).scale(Fraction(1, 2)),
+        m - m + m,
+        m.transpose().transpose(),
+        hstack(m.block(0, r, 0, j), m.block(0, r, j, c)),
+        vstack(m.block(0, i, 0, c), m.block(i, r, 0, c)),
+        unvec(vec(m), r, c),
+        RatMatrix.identity(r) @ m @ RatMatrix.identity(c),
+        RatMatrix(r, c, m.entries),
+    ]
+    for x in [m] + same:
+        assert_canonical(x)
+    for x in same:
+        assert x == m and hash(x) == hash(m)
+    assert m - m == RatMatrix.zeros(r, c) and hash(m - m) == hash(RatMatrix.zeros(r, c))
