@@ -150,16 +150,13 @@ def cokernel_projection(f: Fiber2) -> RatMatrix:
 
     With C = cokernel_complement(f), Q @ C = identity and Q @ d = 0.
     """
-    h = homology(f)
-    comp = cokernel_complement(f)
-    # A basis of im(d): the pivot columns of d.
-    _, pivots = rref(f.d)
-    basis = hstack(*(f.d.block(0, f.dim0, j, j + 1) for j in pivots), comp)
-    if basis.cols != f.dim0:
-        raise AssertionError("cokernel basis is not complete")
-    inv = solve(basis, RatMatrix.identity(f.dim0))
-    # last h0 rows of basis^{-1}
-    return inv.block(basis.cols - h.h0, basis.cols, 0, f.dim0)
+    # [d | I] has full row rank, so its rref is [E d | E] with E invertible.
+    # Its pivot columns -- those of d, a basis of im(d), then those of C --
+    # form a basis of V0 that E sends to the identity, and Q reads the last
+    # h0 coordinates along it.
+    reduced, pivots = rref(hstack(f.d, RatMatrix.identity(f.dim0)))
+    h0 = sum(j >= f.dim1 for j in pivots)
+    return reduced.block(f.dim0 - h0, f.dim0, f.dim1, f.dim1 + f.dim0)
 
 
 def induced_homology_maps(m: ChainMap2) -> tuple[RatMatrix, RatMatrix]:

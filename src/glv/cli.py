@@ -24,8 +24,8 @@ from .nerve import (
     GLHandle,
     NoFillerError,
     TableHandle,
-    enumerate_nerve,
     fill_horn,
+    nerve_levels,
     validate_horn,
     validate_simplex,
 )
@@ -187,12 +187,12 @@ def convert(path, direction, out):
     want = "morphism" if direction.startswith(("morphism", "lax")) else direction.split("-")[0]
     if kind != want:
         _structural(f"document is a {kind}, but {direction} needs a {want}")
-    if kind == "morphism":
-        style = docs.morphism_style(payload)
-        need = "ruth" if direction == "morphism-to-lax" else "lax"
-        if style != need:
-            _structural(f"morphism has style {style}, but {direction} needs style {need}")
     try:
+        if kind == "morphism":
+            style = docs.morphism_style(payload)
+            need = "ruth" if direction == "morphism-to-lax" else "lax"
+            if style != need:
+                _structural(f"morphism has style {style}, but {direction} needs style {need}")
         out_kind, out_payload = _convert(direction, payload)
     except DocumentError as e:
         _structural(str(e))
@@ -233,6 +233,9 @@ def fill(path, out, handle_kind):
         s = fill_horn(_handle(got, cat), horn)
     except NoFillerError as e:
         _semantic([f"no filler: {e}"])
+    except ValueError as e:
+        # a valid horn below dimension 2: the verb does not apply
+        _structural(str(e))
     _write(docs.dump_document("simplex", docs.encode_simplex(s, cat)), out)
 
 
@@ -320,7 +323,12 @@ def generate(example, out, seed, points, n, lines):
     "--level", type=click.IntRange(min=0), default=3, help="enumerate levels up to here"
 )
 def nerve(path, level):
-    """Enumerate and validate the nerve of a two-category document."""
+    """Enumerate the nerve of a two-category document, level by level.
+
+    The category is verified once, where the document enters; over a
+    verified category every enumerated simplex is valid, so none is checked
+    again.  Each level is built once from the one before, and its count is
+    printed as it completes."""
     kind, payload = _read(path)
     if kind != "two-category":
         _structural(f"document is a {kind}, expected two-category")
@@ -331,18 +339,12 @@ def nerve(path, level):
     bad = verify_fin2cat(c)
     if bad:
         _semantic(bad)
-    handle = TableHandle(c)
-    for lv in range(level + 1):
-        try:
-            simplices = enumerate_nerve(handle, lv)
-        except NoFillerError as e:
-            # from level 3 on, enumeration inverts the triangles' 2-cells
-            _structural(str(e))
-        for s in simplices:
-            broken = validate_simplex(handle, s)
-            if broken:
-                _semantic(broken)
-        click.echo(f"level {lv}: {len(simplices)} simplices")
+    try:
+        for lv, simplices in enumerate(nerve_levels(TableHandle(c), level)):
+            click.echo(f"level {lv}: {len(simplices)} simplices")
+    except NoFillerError as e:
+        # from level 3 on, enumeration inverts the triangles' 2-cells
+        _structural(str(e))
 
 
 if __name__ == "__main__":

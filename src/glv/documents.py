@@ -120,10 +120,6 @@ def _str_list(obj, where: str) -> list:
 # scalars and matrices
 
 
-def scalar_to_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 _SCALAR = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _INDEX = re.compile(r"0|[1-9][0-9]*")
 
@@ -139,9 +135,7 @@ def scalar_from_str(s, where: str) -> Fraction:
 
 
 def matrix_to_lists(m: RatMatrix) -> list:
-    return [
-        [scalar_to_str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)
-    ]
+    return [[str(m.entry(i, j)) for j in range(m.cols)] for i in range(m.rows)]
 
 
 def matrix_from_lists(obj, rows: int, cols: int, where: str) -> RatMatrix:

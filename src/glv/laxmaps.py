@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nerve import SimplexLabel, degeneracy, enumerate_nerve, face, make_simplex
+from .nerve import SimplexLabel, degeneracy, face, make_simplex, nerve_levels
 from .reports import Violation
 from .twocat import Fin2Cat
 
@@ -155,20 +155,18 @@ def map_simplex(fun: LaxFunctor, target, s: SimplexLabel) -> SimplexLabel:
 
 
 def lax_to_simplicial(fun: LaxFunctor, source_handle, target) -> SimplicialMapData:
-    levels = {}
-    for level in range(4):
-        levels[level] = {
-            s: map_simplex(fun, target, s)
-            for s in enumerate_nerve(source_handle, level)
-        }
+    levels = {
+        level: {s: map_simplex(fun, target, s) for s in simplices}
+        for level, simplices in enumerate(nerve_levels(source_handle, 3))
+    }
     return SimplicialMapData(levels)
 
 
 def verify_simplicial_map(data: SimplicialMapData, source_handle, target) -> list[Violation]:
     out: list[Violation] = []
-    for level in range(4):
+    for level, simplices in enumerate(nerve_levels(source_handle, 3)):
         have = data.levels.get(level, {})
-        for s in enumerate_nerve(source_handle, level):
+        for s in simplices:
             if s not in have:
                 out.append(Violation("totality", (level,), "simplex has no image"))
                 return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import gl2
 from .reports import Violation
@@ -245,40 +245,38 @@ def _validate_labels(handle, vertices, edges: Mapping, tris: Mapping, quads) -> 
     return out
 
 
-def face(handle, s: SimplexLabel, i: int) -> SimplexLabel:
-    n = s.n
-    if not 0 <= i <= n:
-        raise ValueError("face index out of range")
-    m = lambda t: t if t < i else t + 1
-    verts = tuple(s.vertices[m(t)] for t in range(n))
+def _reindex(handle, s: SimplexLabel, size: int, m) -> SimplexLabel:
+    """The simplex on vertices 0..size-1 labelled by s at the indices m(t),
+    m non-decreasing; repeated indices give identities as in edge_of and
+    triangle_of."""
+    em, tm = s.edge_map(), s.triangle_map()
+    verts = tuple(s.vertices[m(t)] for t in range(size))
     edges = {
-        (b, a): edge_of(handle, s, m(b), m(a)) for b in range(n) for a in range(b)
+        (b, a): em[(m(b), m(a))] if m(b) != m(a) else handle.id_arrow(verts[a])
+        for b in range(size)
+        for a in range(b)
     }
     tris = {
-        (c, b, a): triangle_of(handle, s, m(c), m(b), m(a))
-        for c in range(n)
+        (c, b, a): tm[(m(c), m(b), m(a))]
+        if m(c) != m(b) != m(a)
+        else handle.id_cell(edges[(c, a)])
+        for c in range(size)
         for b in range(c)
         for a in range(b)
     }
-    return make_simplex(verts, edges, tris)
+    return SimplexLabel(verts, _freeze(edges), _freeze(tris))
+
+
+def face(handle, s: SimplexLabel, i: int) -> SimplexLabel:
+    if not 0 <= i <= s.n:
+        raise ValueError("face index out of range")
+    return _reindex(handle, s, s.n, lambda t: t if t < i else t + 1)
 
 
 def degeneracy(handle, s: SimplexLabel, j: int) -> SimplexLabel:
-    n = s.n
-    if not 0 <= j <= n:
+    if not 0 <= j <= s.n:
         raise ValueError("degeneracy index out of range")
-    m = lambda t: t if t <= j else t - 1
-    verts = tuple(s.vertices[m(t)] for t in range(n + 2))
-    edges = {
-        (b, a): edge_of(handle, s, m(b), m(a)) for b in range(n + 2) for a in range(b)
-    }
-    tris = {
-        (c, b, a): triangle_of(handle, s, m(c), m(b), m(a))
-        for c in range(n + 2)
-        for b in range(c)
-        for a in range(b)
-    }
-    return make_simplex(verts, edges, tris)
+    return _reindex(handle, s, s.n + 2, lambda t: t if t <= j else t - 1)
 
 
 @dataclass(frozen=True)
@@ -479,27 +477,17 @@ class FiltrationStage:
         return dict(self.triangles)
 
 
-def _stage_edge_present(n: int, k: int, j: int, i: int) -> bool:
-    return j < n or i >= k
-
-
-def _stage_triangle_present(n: int, k: int, t: int, j: int, i: int) -> bool:
-    return t < n or i >= k
-
-
 def strip_to_stage(s: SimplexLabel, k: int) -> FiltrationStage:
     n = s.n
     if not 0 <= k <= n - 1:
         raise ValueError("stage index out of range")
-    edges = {
-        e: v for e, v in s.edge_map().items() if _stage_edge_present(n, k, *e)
-    }
-    tris = {
-        t: v
-        for t, v in s.triangle_map().items()
-        if _stage_triangle_present(n, k, *t)
-    }
-    return FiltrationStage(n, k, s.vertices, _freeze(edges), _freeze(tris))
+
+    def present(label) -> bool:
+        return label[0][0] < n or label[0][-1] >= k
+
+    return FiltrationStage(
+        n, k, s.vertices, tuple(filter(present, s.edges)), tuple(filter(present, s.triangles))
+    )
 
 
 def stage_to_simplex(stage: FiltrationStage) -> SimplexLabel:
@@ -562,30 +550,37 @@ def initial_stage(handle, base: SimplexLabel, top_vertex, last_edge) -> Filtrati
     )
 
 
+def nerve_levels(handle: TableHandle, top: int) -> Iterator[list[SimplexLabel]]:
+    """The simplices of a finite handle at levels 0, 1, ..., top, in order.
+
+    Level n is built from level n-1: each (n-1)-simplex plus an edge out of
+    its last vertex is the stage F_{n-1}, and every choice of new triangle
+    (n, k+1, k) extends a stage down the filtration to a full simplex.
+    Nothing is validated here: over a verified 2-category the forced
+    triangles make every tetrahedron commute.
+    """
+    level = [SimplexLabel((x,), (), ()) for x in handle.objects()]
+    yield level
+    for n in range(1, top + 1):
+        out: list[SimplexLabel] = []
+        for base in level:
+            for e in handle.arrows_from(base.vertices[-1]):
+                stages = [initial_stage(handle, base, handle.arrow_tgt(e), e)]
+                for k1 in range(n - 1, 0, -1):
+                    nxt = []
+                    for st in stages:
+                        edges = st.edge_map()
+                        target = handle.compose(edges[(n, k1)], edges[(k1, k1 - 1)])
+                        for alpha in handle.cells_into(target):
+                            nxt.append(reconstruct_stage(handle, st, alpha))
+                    stages = nxt
+                out.extend(stage_to_simplex(st) for st in stages)
+        level = out
+        yield level
+
+
 def enumerate_nerve(handle: TableHandle, level: int) -> list[SimplexLabel]:
     """All simplices of a finite handle at the given level."""
-    if level == 0:
-        return [SimplexLabel((x,), (), ()) for x in handle.objects()]
-    if level == 1:
-        return [
-            make_simplex(
-                (handle.arrow_src(f), handle.arrow_tgt(f)), {(1, 0): f}, {}
-            )
-            for x in handle.objects()
-            for f in handle.arrows_from(x)
-        ]
-    out: list[SimplexLabel] = []
-    for base in enumerate_nerve(handle, level - 1):
-        for e in handle.arrows_from(base.vertices[-1]):
-            top = handle.arrow_tgt(e)
-            stages = [initial_stage(handle, base, top, e)]
-            for k1 in range(level - 1, 0, -1):
-                nxt = []
-                for st in stages:
-                    edges = st.edge_map()
-                    target = handle.compose(edges[(level, k1)], edges[(k1, k1 - 1)])
-                    for alpha in handle.cells_into(target):
-                        nxt.append(reconstruct_stage(handle, st, alpha))
-                stages = nxt
-            out.extend(stage_to_simplex(st) for st in stages)
-    return out
+    for simplices in nerve_levels(handle, level):
+        pass
+    return simplices

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,8 @@ from glv.chain2 import (
     chain_map_space,
     compose_chain_maps,
     cone,
+    cokernel_complement,
+    cokernel_projection,
     cone_is_exact,
     find_homotopy,
     homology,
@@ -24,7 +27,8 @@ from glv.chain2 import (
     zero_chain_map,
     zero_fiber,
 )
-from glv.linalg import RatMatrix, rank
+from glv.linalg import RatMatrix, basis_completion, hstack, rank, rref, solve
+from glv.sampling import rand_fiber, rand_fiber_with_homology
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
@@ -163,3 +167,26 @@ def test_not_homotopic():
     g = zero_chain_map(x, x)
     assert not are_homotopic(f, g)
     assert find_homotopy(f, g) is None
+
+
+def reference_cokernel_projection(f: Fiber2) -> RatMatrix:
+    # the former recipe: rank, rref for the pivots of d and basis_completion
+    # each eliminate d, then solve inverts the basis
+    h = homology(f)
+    comp = basis_completion(f.d)
+    _, pivots = rref(f.d)
+    basis = hstack(*(f.d.block(0, f.dim0, j, j + 1) for j in pivots), comp)
+    inv = solve(basis, RatMatrix.identity(f.dim0))
+    return inv.block(basis.cols - h.h0, basis.cols, 0, f.dim0)
+
+
+@given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_cokernel_projection_reads_the_complement(seed, h1, h0, prescribed):
+    rng = random.Random(seed)
+    f = rand_fiber_with_homology(rng, h1, h0, 3) if prescribed else rand_fiber(rng, 4)
+    q = cokernel_projection(f)
+    assert q @ cokernel_complement(f) == RatMatrix.identity(homology(f).h0)
+    assert (q @ f.d).is_zero
+    ref = reference_cokernel_projection(f)
+    assert (q.rows, q.cols, q.nums, q.den) == (ref.rows, ref.cols, ref.nums, ref.den)

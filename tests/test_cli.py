@@ -136,6 +136,21 @@ def test_convert_kind_and_style_mismatches():
     assert "style" in result.output
 
 
+@pytest.mark.parametrize("style", ["lux", None])
+def test_convert_reports_a_bad_morphism_style(tmp_path, style):
+    def set_style(p):
+        if style is None:
+            del p["style"]
+        else:
+            p["style"] = style
+
+    path = _mutated(tmp_path, "morphism_lax.json", set_style)
+    result = run("convert", path, "--direction", "lax-to-morphism")
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: payload.style: expected 'ruth' or 'lax'\n"
+    assert run("verify", path).output == result.output
+
+
 @pytest.mark.parametrize(
     "name", ["horn_gl_20.json", "horn_gl_31.json", "horn_table_32.json"]
 )
@@ -152,6 +167,18 @@ def test_fill_reports_unfillable_horn():
     result = run("fill", FIXTURES / "bad_horn_tetrahedron.json")
     assert result.exit_code == 1
     assert "no filler" in result.output and "tetrahedron" in result.output
+
+
+@pytest.mark.parametrize("vertices", [["*", "*"], ["*"]], ids=["dim1", "dim0"])
+def test_fill_refuses_a_horn_below_dimension_two(tmp_path, vertices):
+    def shrink(p):
+        p.update(vertices=vertices, missing=0, edges={}, triangles={})
+
+    path = _mutated(tmp_path, "horn_table_32.json", shrink)
+    assert run("verify", path).output == "ok: horn\n"
+    result = run("fill", path)
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: horn filling starts at dimension 2\n"
 
 
 def test_fill_handle_flag_must_match():

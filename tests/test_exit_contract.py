@@ -1,8 +1,8 @@
-"""The exit contract of `glv verify` under random edits of the fixtures.
+"""The exit contract of every verb under random edits of the fixtures.
 
-Whatever the document, verify exits 0, 1 or 2 and raises nothing but
-SystemExit: a hostile document is a structural error or a named law
-failure, never a traceback.
+Whatever the document, verify, fill, convert and nerve exit 0, 1 or 2 and
+raise nothing but SystemExit: a hostile document is a structural error or a
+named law failure, never a traceback.
 """
 
 import copy
@@ -76,17 +76,47 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("exit_contract")
 
 
-@given(st.sampled_from(sorted(DOCUMENTS)), st.lists(edits, min_size=1, max_size=3))
-@example("two_category_pair.json", [([], 3, "empty", 0)])  # "compose": []
-@settings(max_examples=300, deadline=None)
-def test_verify_keeps_the_exit_contract(scratch, name, plan):
+def _run(scratch, name, plan, args):
     doc = copy.deepcopy(DOCUMENTS[name])
     for edit in plan:
         _apply(doc, *edit)
     path = scratch / "mutated.json"
     path.write_text(json.dumps(doc))
-    result = CliRunner().invoke(main, ["verify", str(path)])
+    result = CliRunner().invoke(main, [args[0], str(path), *args[1:]])
     assert result.exit_code in (0, 1, 2), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         f"{type(result.exception).__name__}: {result.exception}"
     )
+
+
+@given(st.sampled_from(sorted(DOCUMENTS)), st.lists(edits, min_size=1, max_size=3))
+@example("two_category_pair.json", [([], 3, "empty", 0)])  # "compose": []
+@settings(max_examples=300, deadline=None)
+def test_verify_keeps_the_exit_contract(scratch, name, plan):
+    _run(scratch, name, plan, ["verify"])
+
+
+# (fixture, verb and options): every input the other verbs accept as is
+OTHER_VERBS = (
+    ("horn_gl_20.json", ["fill"]),
+    ("horn_gl_31.json", ["fill"]),
+    ("horn_table_32.json", ["fill"]),
+    ("bad_horn_tetrahedron.json", ["fill"]),
+    ("ruth_sheared.json", ["convert", "--direction", "ruth-to-functor"]),
+    ("functor.json", ["convert", "--direction", "functor-to-ruth"]),
+    ("morphism_ruth.json", ["convert", "--direction", "morphism-to-lax"]),
+    ("morphism_lax.json", ["convert", "--direction", "lax-to-morphism"]),
+    ("two_category_delooping_z4.json", ["nerve", "--level", "2"]),
+    ("two_category_pair.json", ["nerve", "--level", "2"]),
+)
+
+
+@given(st.sampled_from(OTHER_VERBS), st.lists(edits, min_size=1, max_size=3))
+# "style" dropped from a lax morphism
+@example(OTHER_VERBS[7], [([], 3, "drop", 0)])
+# a vertex and then every edge dropped: a valid horn of dimension 1
+@example(OTHER_VERBS[0], [([1], 0, "drop", 0), ([], 0, "empty", 0)])
+@settings(max_examples=300, deadline=None)
+def test_every_verb_keeps_the_exit_contract(scratch, run, plan):
+    name, args = run
+    _run(scratch, name, plan, args)

@@ -1,9 +1,11 @@
 """Simplices, horn filling, coskeletal extension, and the edge filtration."""
 
 import random
+from pathlib import Path
 
 import pytest
 
+from glv.documents import decode_two_category, load_document
 from glv.groupoid import pair_groupoid
 from glv.nerve import (
     GLHandle,
@@ -20,6 +22,7 @@ from glv.nerve import (
     initial_stage,
     make_horn,
     make_simplex,
+    nerve_levels,
     reconstruct_stage,
     stage_to_simplex,
     strip_to_stage,
@@ -231,6 +234,26 @@ def test_enumeration_counts_for_deloopings():
         assert len(enumerate_nerve(h, 3)) == m**3
         for s in enumerate_nerve(h, 3):
             assert validate_simplex(h, s) == []
+
+
+@pytest.mark.parametrize(
+    "source", ["two_category_delooping_z4.json", "two_category_pair.json", 2, 3]
+)
+def test_enumerated_simplices_need_no_validation(source):
+    # glv nerve validates nothing it enumerates: over a verified 2-category
+    # every simplex the filtration builds commutes, which this re-checks
+    if isinstance(source, int):
+        h = cyclic_handle(source)
+    else:
+        _, payload = load_document((Path(__file__).parent / "fixtures" / source).read_text())
+        h = TableHandle(decode_two_category(payload))
+    levels = list(nerve_levels(h, 4))
+    assert len(levels) == 5
+    for level, simplices in enumerate(levels):
+        assert simplices and all(s.n == level for s in simplices)
+        for s in simplices:
+            assert validate_simplex(h, s) == []
+        assert enumerate_nerve(h, level) == simplices
 
 
 def test_enumeration_matches_one_categorical_nerve():
