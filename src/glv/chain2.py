@@ -10,9 +10,10 @@ chain maps alpha, alpha' is a matrix R: V0 -> V1' with
 
 Data is checked once, where it enters: the public constructors check the
 chain condition and the homotopy equations (and ``GLArrow`` the
-quasi-isomorphism test).  The derived operations here and in ``gl2`` --
-identities, composites, whiskers, vertical and horizontal composites,
-inverse cells and quasi-inverses -- build their results unchecked with
+quasi-isomorphism test), and raise ``LawError`` naming the law that fails.
+The derived operations here and in ``gl2`` -- identities, composites,
+whiskers, vertical and horizontal composites, inverse cells and
+quasi-inverses -- build their results unchecked with
 ``_trusted``, because Theorem 1 (the symmetries of 2-term complexes form a
 2-groupoid) makes every such result of valid inputs valid.
 """
@@ -35,6 +36,7 @@ from .linalg import (
     vec,
     vstack,
 )
+from .reports import LawError, Violation
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class ChainMap2:
         if (self.a0.rows, self.a0.cols) != (self.dst.dim0, self.src.dim0):
             raise ValueError("degree-0 component has the wrong shape")
         if self.a0 @ self.src.d != self.dst.d @ self.a1:
-            raise ValueError("chain condition fails")
+            raise LawError([Violation("chain condition")])
 
 
 def _trusted(cls, *values):
@@ -121,9 +123,9 @@ class Homotopy2:
         if (self.r.rows, self.r.cols) != (self.source.dst.dim1, self.source.src.dim0):
             raise ValueError("homotopy matrix has the wrong shape")
         if self.r @ self.source.src.d != self.source.a1 - self.target.a1:
-            raise ValueError("homotopy condition fails in degree 1")
+            raise LawError([Violation("homotopy condition", (), "degree 1")])
         if self.source.dst.d @ self.r != self.source.a0 - self.target.a0:
-            raise ValueError("homotopy condition fails in degree 0")
+            raise LawError([Violation("homotopy condition", (), "degree 0")])
 
 
 def homology(f: Fiber2) -> HomologyDims:

@@ -1,16 +1,17 @@
 """Command line interface over the JSON document format.
 
 Verbs: verify, convert, fill, generate, nerve.  Exit codes: 0 when the
-requested operation succeeds, 1 when the document is well formed but
-violates a law (one line per violated equation) or a requested filler or
-example does not exist, 2 on unreadable files, malformed documents and
-kind mismatches.
+requested operation succeeds; 1 when a well formed document breaks a law or
+a requested filler does not exist, one line per failure naming the law and
+its site; 2 on unreadable files, malformed documents, kind mismatches and
+example parameters that describe no example, with one "error:" line.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,6 @@ import click
 from . import documents as docs
 from .documents import DocumentError
 from .groupoid import action_groupoid, cyclic_group, pair_groupoid, verify_groupoid
-from .laxmaps import LaxTransformation
 from .nerve import (
     GLHandle,
     NoFillerError,
@@ -29,19 +29,16 @@ from .nerve import (
     validate_horn,
     validate_simplex,
 )
+from .reports import LawError, require
 from .ruth import (
-    NotQuasiIsoError,
-    components_to_transformation,
     double_rep,
     lines_projection_rep,
     lines_projection_scalars,
     pseudofunctor_to_ruth,
     ruth_to_pseudofunctor,
-    transformation_to_morphism,
     verify_morphism,
     verify_pseudofunctor,
     verify_ruth,
-    verify_transformation,
 )
 from .sampling import rand_double_ruth
 from .twocat import delooping, verify_fin2cat
@@ -52,10 +49,21 @@ def _structural(message: str):
     sys.exit(2)
 
 
-def _semantic(lines) -> None:
-    for line in lines:
-        click.echo(str(line))
+def _semantic(text: str) -> None:
+    click.echo(text)
     sys.exit(1)
+
+
+@contextmanager
+def _reported():
+    """Exit 2 on a structural error, and 1 with one line per violation when
+    a law fails."""
+    try:
+        yield
+    except DocumentError as e:
+        _structural(str(e))
+    except LawError as e:
+        _semantic(str(e))
 
 
 def _read(path: str):
@@ -63,10 +71,8 @@ def _read(path: str):
         text = Path(path).read_text()
     except OSError as e:
         _structural(f"cannot read {path}: {e}")
-    try:
+    with _reported():
         return docs.load_document(text)
-    except DocumentError as e:
-        _structural(str(e))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -112,10 +118,8 @@ def _verify_payload(kind: str, payload: dict):
         handle_kind, h, cat = docs.decode_horn(payload)
         return validate_horn(_handle(handle_kind, cat), h)
     style = docs.morphism_style(payload)
-    if style == "ruth":
-        return verify_morphism(docs.decode_ruth_morphism(payload))
-    src, dst, at_obj, at_arrow = docs.decode_lax_morphism(payload)
-    return verify_transformation(src, dst, LaxTransformation(at_obj, at_arrow))
+    decode = docs.decode_ruth_morphism if style == "ruth" else docs.decode_lax_morphism
+    return verify_morphism(decode(payload), style)
 
 
 @main.command()
@@ -126,14 +130,8 @@ def verify(path, kind):
     got, payload = _read(path)
     if kind is not None and got != kind:
         _structural(f"document is a {got}, expected {kind}")
-    try:
-        bad = _verify_payload(got, payload)
-    except DocumentError as e:
-        _structural(str(e))
-    except ValueError as e:
-        _semantic([e])
-    if bad:
-        _semantic(bad)
+    with _reported():
+        require(_verify_payload(got, payload))
     click.echo(f"ok: {got}")
 
 
@@ -146,31 +144,19 @@ DIRECTIONS = ("ruth-to-functor", "functor-to-ruth", "morphism-to-lax", "lax-to-m
 def _convert(direction: str, payload: dict) -> tuple[str, dict]:
     if direction == "ruth-to-functor":
         r = docs.decode_ruth(payload)
-        bad = verify_ruth(r)
-        if bad:
-            _semantic(bad)
+        require(verify_ruth(r))
         return "functor", docs.encode_functor(ruth_to_pseudofunctor(r))
     if direction == "functor-to-ruth":
         p = docs.decode_functor(payload)
-        bad = verify_pseudofunctor(p)
-        if bad:
-            _semantic(bad)
+        require(verify_pseudofunctor(p))
         return "ruth", docs.encode_ruth(pseudofunctor_to_ruth(p))
     if direction == "morphism-to-lax":
         m = docs.decode_ruth_morphism(payload)
-        bad = verify_morphism(m)
-        if bad:
-            _semantic(bad)
-        src = ruth_to_pseudofunctor(m.src)
-        dst = ruth_to_pseudofunctor(m.dst)
-        h = components_to_transformation(src, dst, m.theta1, m.theta0, m.mu)
-        return "morphism", docs.encode_lax_morphism(src, dst, h.at_obj, h.at_arrow)
-    src, dst, at_obj, at_arrow = docs.decode_lax_morphism(payload)
-    h = LaxTransformation(at_obj, at_arrow)
-    bad = verify_transformation(src, dst, h)
-    if bad:
-        _semantic(bad)
-    m = transformation_to_morphism(h, pseudofunctor_to_ruth(src), pseudofunctor_to_ruth(dst))
+        # the output must hold the laws of its own style as well
+        require(verify_morphism(m) or verify_morphism(m, "lax"))
+        return "morphism", docs.encode_lax_morphism(m)
+    m = docs.decode_lax_morphism(payload)
+    require(verify_morphism(m, "lax"))
     return "morphism", docs.encode_ruth_morphism(m)
 
 
@@ -187,19 +173,13 @@ def convert(path, direction, out):
     want = "morphism" if direction.startswith(("morphism", "lax")) else direction.split("-")[0]
     if kind != want:
         _structural(f"document is a {kind}, but {direction} needs a {want}")
-    try:
+    with _reported():
         if kind == "morphism":
             style = docs.morphism_style(payload)
             need = "ruth" if direction == "morphism-to-lax" else "lax"
             if style != need:
                 _structural(f"morphism has style {style}, but {direction} needs style {need}")
         out_kind, out_payload = _convert(direction, payload)
-    except DocumentError as e:
-        _structural(str(e))
-    except NotQuasiIsoError as e:
-        _semantic([f"not a quasi-isomorphism: {e}"])
-    except ValueError as e:
-        _semantic([e])
     _write(docs.dump_document(out_kind, out_payload), out)
 
 
@@ -221,18 +201,14 @@ def fill(path, out, handle_kind):
     kind, payload = _read(path)
     if kind != "horn":
         _structural(f"document is a {kind}, expected horn")
-    try:
+    with _reported():
         got, horn, cat = docs.decode_horn(payload)
-    except DocumentError as e:
-        _structural(str(e))
-    except ValueError as e:
-        _semantic([e])
     if handle_kind is not None and got != handle_kind:
         _structural(f"horn lives over the {got} handle, expected {handle_kind}")
     try:
         s = fill_horn(_handle(got, cat), horn)
     except NoFillerError as e:
-        _semantic([f"no filler: {e}"])
+        _semantic(f"no filler: {e}")
     except ValueError as e:
         # a valid horn below dimension 2: the verb does not apply
         _structural(str(e))
@@ -252,9 +228,11 @@ def _parse_lines(text: str):
         if not chunk:
             continue
         parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad line {chunk!r}: expected two coordinates")
-        out.append((Fraction(parts[0].strip()), Fraction(parts[1].strip())))
+        try:
+            x, y = (Fraction(p.strip()) for p in parts)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad line {chunk!r}: expected two rational coordinates") from None
+        out.append((x, y))
     if not out:
         raise ValueError("no lines given")
     return out
@@ -308,8 +286,9 @@ def generate(example, out, seed, points, n, lines):
     verify rejects it; doubling emits the repaired representation."""
     try:
         kind, payload = _generate(example, seed, points, n, lines)
-    except (ValueError, ZeroDivisionError) as e:
-        _semantic([e])
+    except ValueError as e:
+        # parameters that describe no example: a usage error
+        _structural(str(e))
     _write(docs.dump_document(kind, payload), out)
 
 
@@ -332,13 +311,9 @@ def nerve(path, level):
     kind, payload = _read(path)
     if kind != "two-category":
         _structural(f"document is a {kind}, expected two-category")
-    try:
+    with _reported():
         c = docs.decode_two_category(payload)
-    except DocumentError as e:
-        _structural(str(e))
-    bad = verify_fin2cat(c)
-    if bad:
-        _semantic(bad)
+        require(verify_fin2cat(c))
     try:
         for lv, simplices in enumerate(nerve_levels(TableHandle(c), level)):
             click.echo(f"level {lv}: {len(simplices)} simplices")

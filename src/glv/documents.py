@@ -13,11 +13,12 @@ Structural problems, such as missing or unknown fields, malformed scalars,
 wrong matrix shapes and names that do not resolve, raise DocumentError.
 Payloads that are well formed but violate an equation of the objects they
 describe either surface through the verifiers or, for the checked GL
-constructors, as ValueError naming the offending piece.  An embedded
-groupoid or two-category is verified before anything is built from it; its
-violations raise ValueError, one line each under the structure's path.
-Functor and lax morphism payloads are parsed into matrices and handed to the
-translation in ruth.py, which builds their GL cells.
+constructors, as LawError naming the law and the piece being built.  An
+embedded groupoid or two-category is verified before anything is built from
+it; its violations raise LawError, one line each under the structure's path.
+Functor payloads are parsed into matrices and handed to the translation in
+ruth.py, which builds their GL cells; lax morphism payloads are parsed into
+the same matrices as ruth morphisms.
 """
 
 from __future__ import annotations
@@ -32,13 +33,8 @@ from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
 from .groupoid import FinGroupoid, verify_groupoid
 from .linalg import RatMatrix
 from .nerve import Horn, SimplexLabel, make_horn, make_simplex
-from .ruth import (
-    PseudoFunctorGL,
-    Ruth2,
-    RuthMorphism,
-    components_to_transformation,
-    ruth_to_pseudofunctor,
-)
+from .reports import LawError, require
+from .ruth import PseudoFunctorGL, Ruth2, RuthMorphism, pseudofunctor_to_ruth, ruth_to_pseudofunctor
 from .twocat import Fin2Cat, Fin2Groupoid, verify_fin2cat
 
 VERSION = "1"
@@ -57,13 +53,6 @@ KINDS = (
 
 class DocumentError(Exception):
     """A document is structurally malformed."""
-
-
-def _lawful(violations, where: str) -> None:
-    """Reject an embedded structure that breaks its laws: a ValueError with
-    one line per violation, each prefixed by the structure's path."""
-    if violations:
-        raise ValueError("\n".join(f"{where}: {v}" for v in violations))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +352,7 @@ def decode_two_category(obj, where: str = "payload") -> Fin2Cat:
 
 def _groupoid_and_fibers(d: dict, where: str) -> tuple[FinGroupoid, dict]:
     g = decode_groupoid(d["groupoid"], f"{where}.groupoid")
-    _lawful(verify_groupoid(g), f"{where}.groupoid")
+    require(verify_groupoid(g), f"{where}.groupoid")
     raw = _as_dict(d["fibers"], f"{where}.fibers")
     if set(raw) != set(g.objects):
         raise DocumentError(f"{where}.fibers: keys do not match the groupoid objects")
@@ -434,31 +423,40 @@ def decode_ruth(obj, where: str = "payload") -> Ruth2:
     return Ruth2(g, fibers, rho1, rho0, gamma)
 
 
-def encode_functor(p: PseudoFunctorGL) -> dict:
+def _chain_maps_to_json(a1: Mapping, a0: Mapping) -> dict:
+    return {k: {"a1": matrix_to_lists(a1[k]), "a0": matrix_to_lists(a0[k])} for k in a1}
+
+
+def _functor_to_json(r: Ruth2) -> dict:
     return {
-        "groupoid": encode_groupoid(p.groupoid),
-        "fibers": {x: fiber_to_json(o.fiber) for x, o in p.at_obj.items()},
-        "arrows": {
-            a: {"a1": matrix_to_lists(f.a1), "a0": matrix_to_lists(f.a0)}
-            for a, f in p.at_arrow.items()
-        },
-        "compare": _pair_matrices_to_json({k: c.r for k, c in p.comp_cell.items()}),
+        "groupoid": encode_groupoid(r.groupoid),
+        "fibers": {x: fiber_to_json(f) for x, f in r.fibers.items()},
+        "arrows": _chain_maps_to_json(r.rho1, r.rho0),
+        "compare": _pair_matrices_to_json(r.gamma),
     }
 
 
-def decode_functor(obj, where: str = "payload") -> PseudoFunctorGL:
-    """Parse the matrices and build the pseudo-functor with ruth_to_pseudofunctor.
+def encode_functor(p: PseudoFunctorGL) -> dict:
+    return _functor_to_json(pseudofunctor_to_ruth(p))
 
-    Shapes are validated here and raise DocumentError; the chain map and
-    homotopy equations are enforced by the GL constructors and surface as
-    ValueError naming the arrow or pair, so that verification can report
-    them as violations rather than parse failures."""
+
+def _functor_from_json(obj, where: str) -> Ruth2:
+    """The matrices of a functor payload, shapes checked."""
     d = _fields(obj, where, ("groupoid", "fibers", "arrows", "compare"))
     g, fibers = _groupoid_and_fibers(d, where)
     ends = {a: (fibers[x], fibers[y]) for a, (x, y) in g.arrows.items()}
     rho1, rho0 = _chain_maps_from_json(d["arrows"], ends, "groupoid arrows", f"{where}.arrows")
     gamma = _corrections_from_json(d["compare"], g, fibers, f"{where}.compare")
-    return ruth_to_pseudofunctor(Ruth2(g, fibers, rho1, rho0, gamma))
+    return Ruth2(g, fibers, rho1, rho0, gamma)
+
+
+def decode_functor(obj, where: str = "payload") -> PseudoFunctorGL:
+    """Parse the matrices and build the pseudo-functor with ruth_to_pseudofunctor.
+
+    Shapes are validated here and raise DocumentError; the chain map,
+    quasi-isomorphism and homotopy equations are enforced by the GL
+    constructors and raise LawError at the arrow or pair."""
+    return ruth_to_pseudofunctor(_functor_from_json(obj, where))
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +545,8 @@ def _decode_gl_tables(d: dict, where: str):
         a0 = matrix_from_lists(pair["a0"], fj.dim0, fi.dim0, f"{spot}.a0")
         try:
             edges[(j, i)] = GLArrow(objs[i], objs[j], ChainMap2(fi, fj, a1, a0))
-        except ValueError as e:
-            raise ValueError(f"edge ({j},{i}) does not give a valid map: {e}") from e
+        except LawError as e:
+            raise e.at((j, i)) from None
     triangles = {}
     for key, raw in sorted(_as_dict(d["triangles"], f"{where}.triangles").items()):
         k, j, i = _indices_from_key(key, 3, f"{where}.triangles.{key}")
@@ -567,10 +565,8 @@ def _decode_gl_tables(d: dict, where: str):
             triangles[(k, j, i)] = GL2Cell(
                 edges[(k, i)], compose_arrows(edges[(k, j)], edges[(j, i)]), m
             )
-        except ValueError as e:
-            raise ValueError(
-                f"triangle ({k},{j},{i}) does not give a valid homotopy: {e}"
-            ) from e
+        except LawError as e:
+            raise e.at((k, j, i)) from None
     return objs, edges, triangles, None
 
 
@@ -578,7 +574,7 @@ def _decode_table_tables(d: dict, where: str):
     if "category" not in d:
         raise DocumentError(f"{where}: a table document needs a category field")
     cat = decode_two_category(d["category"], f"{where}.category")
-    _lawful(verify_fin2cat(cat), f"{where}.category")
+    require(verify_fin2cat(cat), f"{where}.category")
     vertices = _str_list(d["vertices"], f"{where}.vertices")
     for i, x in enumerate(vertices):
         if x not in cat.objects:
@@ -655,18 +651,16 @@ def encode_ruth_morphism(m: RuthMorphism) -> dict:
     }
 
 
-def encode_lax_morphism(src: PseudoFunctorGL, dst: PseudoFunctorGL, at_obj, at_arrow) -> dict:
-    """A transformation between pseudo-functors: per-point arrows H_x and,
-    for every groupoid arrow, the matrix of the 2-cell H_y rho(f) => rho'(f) H_x."""
+def encode_lax_morphism(m: RuthMorphism) -> dict:
+    """The same morphism as a transformation between pseudo-functors:
+    per-point components H_x and, for every groupoid arrow f, the matrix of
+    the 2-cell H_y rho(f) => rho'(f) H_x."""
     return {
         "style": "lax",
-        "source": encode_functor(src),
-        "target": encode_functor(dst),
-        "components": {
-            x: {"a1": matrix_to_lists(f.a1), "a0": matrix_to_lists(f.a0)}
-            for x, f in at_obj.items()
-        },
-        "cells": {a: matrix_to_lists(c.r) for a, c in at_arrow.items()},
+        "source": _functor_to_json(m.src),
+        "target": _functor_to_json(m.dst),
+        "components": _chain_maps_to_json(m.theta1, m.theta0),
+        "cells": {a: matrix_to_lists(v) for a, v in m.mu.items()},
     }
 
 
@@ -678,64 +672,55 @@ def morphism_style(obj, where: str = "payload") -> str:
     return style
 
 
-def _point_matrices_from_json(obj, g, src_fibers, dst_fibers, degree, where) -> dict:
+def _point_matrices_from_json(obj, src: Ruth2, dst: Ruth2, degree: int, where: str) -> dict:
     out = {}
     for x, raw in _as_dict(obj, where).items():
-        if x not in g.objects:
+        if x not in src.fibers:
             raise DocumentError(f"{where}: unknown object {x!r}")
-        if degree == 1:
-            rows, cols = dst_fibers[x].dim1, src_fibers[x].dim1
-        else:
-            rows, cols = dst_fibers[x].dim0, src_fibers[x].dim0
+        f, fp = src.fibers[x], dst.fibers[x]
+        rows, cols = (fp.dim1, f.dim1) if degree == 1 else (fp.dim0, f.dim0)
         out[x] = matrix_from_lists(raw, rows, cols, f"{where}.{x}")
     return out
 
 
 def decode_ruth_morphism(obj, where: str = "payload") -> RuthMorphism:
     d = _fields(obj, where, ("style", "source", "target", "theta1", "theta0", "mu"))
-    if d["style"] != "ruth":
-        raise DocumentError(f"{where}.style: expected 'ruth'")
-    src = decode_ruth(d["source"], f"{where}.source")
-    dst = decode_ruth(d["target"], f"{where}.target")
-    if src.groupoid != dst.groupoid:
-        raise DocumentError(f"{where}: source and target live over different groupoids")
-    g = src.groupoid
-    theta1 = _point_matrices_from_json(d["theta1"], g, src.fibers, dst.fibers, 1, f"{where}.theta1")
-    theta0 = _point_matrices_from_json(d["theta0"], g, src.fibers, dst.fibers, 0, f"{where}.theta0")
-    mu = _homotopies_from_json(d["mu"], g, src.fibers, dst.fibers, f"{where}.mu")
+    src, dst = _morphism_ends(d, "ruth", decode_ruth, where)
+    theta1 = _point_matrices_from_json(d["theta1"], src, dst, 1, f"{where}.theta1")
+    theta0 = _point_matrices_from_json(d["theta0"], src, dst, 0, f"{where}.theta0")
+    mu = _homotopies_from_json(d["mu"], src, dst, f"{where}.mu")
     return RuthMorphism(src, dst, theta1, theta0, mu)
 
 
-def _homotopies_from_json(obj, g, src_fibers, dst_fibers, where) -> dict:
-    """Per-arrow matrices V0(x) -> V1'(y) of a morphism's naturality cells."""
-    return _arrow_matrices_from_json(
-        obj, g, lambda x, y: (dst_fibers[y].dim1, src_fibers[x].dim0), where
-    )
-
-
-def decode_lax_morphism(obj, where: str = "payload"):
-    """Returns (source functor, target functor, at_obj, at_arrow).
-
-    at_obj maps each point to a GLArrow between the fibers; at_arrow maps
-    each groupoid arrow f: x -> y to the GL2Cell H_y rho(f) => rho'(f) H_x.
-    Both are built by components_to_transformation: component maps that
-    fail to be quasi-isomorphisms, or cell matrices that fail the homotopy
-    equations, surface as ValueError."""
+def decode_lax_morphism(obj, where: str = "payload") -> RuthMorphism:
+    """Parse the matrices of a transformation between pseudo-functors, as
+    decode_ruth_morphism does for its style; no GL cell is built, and
+    verify_morphism in style "lax" checks every law."""
     d = _fields(obj, where, ("style", "source", "target", "components", "cells"))
-    if d["style"] != "lax":
-        raise DocumentError(f"{where}.style: expected 'lax'")
-    src = decode_functor(d["source"], f"{where}.source")
-    dst = decode_functor(d["target"], f"{where}.target")
+    src, dst = _morphism_ends(d, "lax", _functor_from_json, where)
+    ends = {x: (src.fibers[x], dst.fibers[x]) for x in src.fibers}
+    theta1, theta0 = _chain_maps_from_json(d["components"], ends, "objects", f"{where}.components")
+    mu = _homotopies_from_json(d["cells"], src, dst, f"{where}.cells")
+    return RuthMorphism(src, dst, theta1, theta0, mu)
+
+
+def _morphism_ends(d: dict, style: str, decode, where: str) -> tuple[Ruth2, Ruth2]:
+    """The source and target of a morphism payload in the given style, over
+    one groupoid."""
+    if d["style"] != style:
+        raise DocumentError(f"{where}.style: expected {style!r}")
+    src = decode(d["source"], f"{where}.source")
+    dst = decode(d["target"], f"{where}.target")
     if src.groupoid != dst.groupoid:
         raise DocumentError(f"{where}: source and target live over different groupoids")
-    g = src.groupoid
-    sf = {x: o.fiber for x, o in src.at_obj.items()}
-    df = {x: o.fiber for x, o in dst.at_obj.items()}
-    ends = {x: (sf[x], df[x]) for x in g.objects}
-    theta1, theta0 = _chain_maps_from_json(d["components"], ends, "objects", f"{where}.components")
-    mu = _homotopies_from_json(d["cells"], g, sf, df, f"{where}.cells")
-    h = components_to_transformation(src, dst, theta1, theta0, mu)
-    return src, dst, h.at_obj, h.at_arrow
+    return src, dst
+
+
+def _homotopies_from_json(obj, src: Ruth2, dst: Ruth2, where: str) -> dict:
+    """Per-arrow matrices V0(x) -> V1'(y) of a morphism's naturality cells."""
+    return _arrow_matrices_from_json(
+        obj, src.groupoid, lambda x, y: (dst.fibers[y].dim1, src.fibers[x].dim0), where
+    )
 
 
 # ---------------------------------------------------------------------------

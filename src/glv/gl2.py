@@ -38,6 +38,7 @@ from .chain2 import (
     is_quasi_iso,
 )
 from .linalg import RatMatrix, hstack, left_inverse, right_inverse, vstack
+from .reports import LawError, Violation
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ class GLArrow:
         if self.map.src != self.src.fiber or self.map.dst != self.dst.fiber:
             raise ValueError("chain map endpoints do not match the objects")
         if not is_quasi_iso(self.map):
-            raise ValueError("not a quasi-isomorphism")
+            raise LawError([Violation("quasi-isomorphism")])
 
     @property
     def a1(self) -> RatMatrix:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Iterator, Mapping
 
-from .reports import Violation
+from .reports import Violation, gate, require
 
 
 @dataclass
@@ -56,45 +56,45 @@ class FinGroupoid:
 
 
 def verify_groupoid(g: FinGroupoid) -> list[Violation]:
-    out: list[Violation] = []
+    return gate(_groupoid_tables(g), _groupoid_laws(g))
+
+
+def _groupoid_tables(g: FinGroupoid) -> Iterator[Violation]:
     for a, (s, t) in g.arrows.items():
         if s not in g.objects or t not in g.objects:
-            out.append(Violation("endpoint", (a,)))
+            yield Violation("endpoint", (a,))
     for x in g.objects:
-        u = g.units.get(x)
-        if u is None or g.arrows.get(u) != (x, x):
-            out.append(Violation("unit law", (x,)))
+        if g.arrows.get(g.units.get(x)) != (x, x):
+            yield Violation("unit law", (x,))
     for (h, a), r in g.comp.items():
         if g.src(h) != g.tgt(a):
-            out.append(Violation("composability", (h, a)))
+            yield Violation("composability", (h, a))
         elif g.arrows[r] != (g.src(a), g.tgt(h)):
-            out.append(Violation("endpoint", (h, a)))
+            yield Violation("endpoint", (h, a))
     for h, a in g.composable_pairs():
         if (h, a) not in g.comp:
-            out.append(Violation("composability", (h, a)))
-    if out:
-        return out
+            yield Violation("composability", (h, a))
+
+
+def _groupoid_laws(g: FinGroupoid) -> Iterator[Violation]:
     for a in g.arrows:
         if g.compose(a, g.units[g.src(a)]) != a or g.compose(g.units[g.tgt(a)], a) != a:
-            out.append(Violation("unit law", (a,)))
+            yield Violation("unit law", (a,))
         b = g.inv.get(a)
         if b is None or g.arrows.get(b) != (g.tgt(a), g.src(a)):
-            out.append(Violation("inverse law", (a,)))
+            yield Violation("inverse law", (a,))
         elif (
             g.compose(b, a) != g.units[g.src(a)]
             or g.compose(a, b) != g.units[g.tgt(a)]
         ):
-            out.append(Violation("inverse law", (a,)))
+            yield Violation("inverse law", (a,))
     for k, h, a in g.composable_triples():
         if g.compose(g.compose(k, h), a) != g.compose(k, g.compose(h, a)):
-            out.append(Violation("associativity", (k, h, a)))
-    return out
+            yield Violation("associativity", (k, h, a))
 
 
 def _checked(g: FinGroupoid) -> FinGroupoid:
-    bad = verify_groupoid(g)
-    if bad:
-        raise ValueError(f"not a groupoid: {bad[0]}")
+    require(verify_groupoid(g))
     return g
 
 

@@ -16,9 +16,10 @@ homotopies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .nerve import SimplexLabel, degeneracy, face, make_simplex, nerve_levels
-from .reports import Violation
+from .reports import Violation, gate, missing, require
 from .twocat import Fin2Cat
 
 
@@ -47,56 +48,57 @@ def strict_functor(source: Fin2Cat, target, obj_map, arrow_map, cell_map) -> Lax
 
 
 def verify_lax_functor(fun: LaxFunctor, target) -> list[Violation]:
-    out: list[Violation] = []
     c = fun.source
-    for x in c.objects:
-        if x not in fun.obj_map:
-            out.append(Violation("totality", (x,), "object has no image"))
-    for f in c.arrows:
-        if f not in fun.arrow_map:
-            out.append(Violation("totality", (f,), "arrow has no image"))
-    for r in c.cells:
-        if r not in fun.cell_map:
-            out.append(Violation("totality", (r,), "2-cell has no image"))
-    for pair in c.composable_arrow_pairs():
-        if pair not in fun.comp_cell:
-            out.append(Violation("totality", pair, "no comparison cell"))
-    if out:
-        return out
+    return gate(
+        missing(
+            (c.objects, fun.obj_map, "object has no image"),
+            (c.arrows, fun.arrow_map, "arrow has no image"),
+            (c.cells, fun.cell_map, "2-cell has no image"),
+            (c.composable_arrow_pairs(), fun.comp_cell, "no comparison cell"),
+        ),
+        _functor_endpoints(fun, target),
+        _normality(fun, target),
+        _functor_laws(fun, target),
+    )
 
+
+def _functor_endpoints(fun: LaxFunctor, target) -> Iterator[Violation]:
+    c = fun.source
     for f, (x, y) in c.arrows.items():
         ff = fun.arrow_map[f]
         if target.arrow_src(ff) != fun.obj_map[x] or target.arrow_tgt(ff) != fun.obj_map[y]:
-            out.append(Violation("endpoint", (f,), "arrow image endpoints"))
+            yield Violation("endpoint", (f,), "arrow image endpoints")
     for r, (f, g) in c.cells.items():
         rr = fun.cell_map[r]
         if target.cell_src(rr) != fun.arrow_map[f] or target.cell_tgt(rr) != fun.arrow_map[g]:
-            out.append(Violation("endpoint", (r,), "2-cell image endpoints"))
+            yield Violation("endpoint", (r,), "2-cell image endpoints")
     for (g, f), cc in fun.comp_cell.items():
         want_src = fun.arrow_map[c.comp1[(g, f)]]
         want_tgt = target.compose(fun.arrow_map[g], fun.arrow_map[f])
         if target.cell_src(cc) != want_src or target.cell_tgt(cc) != want_tgt:
-            out.append(Violation("endpoint", (g, f), "comparison cell endpoints"))
-    if out:
-        return out
+            yield Violation("endpoint", (g, f), "comparison cell endpoints")
 
+
+def _normality(fun: LaxFunctor, target) -> Iterator[Violation]:
+    c = fun.source
     for x in c.objects:
         u = c.unit_arrow[x]
         if fun.arrow_map[u] != target.id_arrow(fun.obj_map[x]):
-            out.append(Violation("normality", (x,), "unit arrow image"))
+            yield Violation("normality", (x,), "unit arrow image")
     for f in c.arrows:
         if fun.cell_map[c.unit_cell[f]] != target.id_cell(fun.arrow_map[f]):
-            out.append(Violation("normality", (f,), "unit 2-cell image"))
+            yield Violation("normality", (f,), "unit 2-cell image")
     for (g, f), cc in fun.comp_cell.items():
         if g in c.unit_arrow.values() or f in c.unit_arrow.values():
             if cc != target.id_cell(fun.arrow_map[c.comp1[(g, f)]]):
-                out.append(Violation("normality", (g, f), "comparison cell at a unit"))
-    if out:
-        return out
+                yield Violation("normality", (g, f), "comparison cell at a unit")
 
+
+def _functor_laws(fun: LaxFunctor, target) -> Iterator[Violation]:
+    c = fun.source
     for s, r in c.vcomposable_cell_pairs():
         if fun.cell_map[c.vcomp[(s, r)]] != target.vcompose(fun.cell_map[s], fun.cell_map[r]):
-            out.append(Violation("vertical composition", (s, r)))
+            yield Violation("vertical composition", (s, r))
 
     for s, r in c.hcomposable_cell_pairs():
         g, gp = c.cells[s]
@@ -106,7 +108,7 @@ def verify_lax_functor(fun: LaxFunctor, target) -> list[Violation]:
             target.hcompose(fun.cell_map[s], fun.cell_map[r]), fun.comp_cell[(g, f)]
         )
         if lhs != rhs:
-            out.append(Violation("naturality", (s, r)))
+            yield Violation("naturality", (s, r))
 
     for h in c.arrows:
         for g in c.arrows:
@@ -126,8 +128,7 @@ def verify_lax_functor(fun: LaxFunctor, target) -> list[Violation]:
                     fun.comp_cell[(hg, f)],
                 )
                 if lhs != rhs:
-                    out.append(Violation("coherence", (h, g, f)))
-    return out
+                    yield Violation("coherence", (h, g, f))
 
 
 @dataclass
@@ -252,36 +253,35 @@ class LaxTransformation:
 def verify_lax_transformation(
     h: LaxTransformation, fun: LaxFunctor, gun: LaxFunctor, target
 ) -> list[Violation]:
-    out: list[Violation] = []
     c = fun.source
     if gun.source is not c and gun.source != c:
         return [Violation("totality", (), "lax functors have different sources")]
-    for x in c.objects:
-        if x not in h.at_obj:
-            out.append(Violation("totality", (x,), "object has no component"))
-    for f in c.arrows:
-        if f not in h.at_arrow:
-            out.append(Violation("totality", (f,), "arrow has no component"))
-    if out:
-        return out
-    for x in c.objects:
-        a = h.at_obj[x]
-        if target.arrow_src(a) != fun.obj_map[x] or target.arrow_tgt(a) != gun.obj_map[x]:
-            out.append(Violation("endpoint", (x,), "component endpoints"))
-    if out:
-        return out
-    for f, (x, y) in c.arrows.items():
-        cell = h.at_arrow[f]
-        want_src = target.compose(h.at_obj[y], fun.arrow_map[f])
-        want_tgt = target.compose(gun.arrow_map[f], h.at_obj[x])
-        if target.cell_src(cell) != want_src or target.cell_tgt(cell) != want_tgt:
-            out.append(Violation("endpoint", (f,), "naturality cell endpoints"))
-    if out:
-        return out
+    return gate(
+        missing(
+            (c.objects, h.at_obj, "object has no component"),
+            (c.arrows, h.at_arrow, "arrow has no component"),
+        ),
+        (
+            Violation("endpoint", (x,), "component endpoints")
+            for x in c.objects
+            if target.arrow_src(h.at_obj[x]) != fun.obj_map[x]
+            or target.arrow_tgt(h.at_obj[x]) != gun.obj_map[x]
+        ),
+        (
+            Violation("endpoint", (f,), "naturality cell endpoints")
+            for f, (x, y) in c.arrows.items()
+            if target.cell_src(h.at_arrow[f]) != target.compose(h.at_obj[y], fun.arrow_map[f])
+            or target.cell_tgt(h.at_arrow[f]) != target.compose(gun.arrow_map[f], h.at_obj[x])
+        ),
+        _transformation_laws(h, fun, gun, target),
+    )
 
+
+def _transformation_laws(h, fun: LaxFunctor, gun: LaxFunctor, target) -> Iterator[Violation]:
+    c = fun.source
     for x in c.objects:
         if h.at_arrow[c.unit_arrow[x]] != target.id_cell(h.at_obj[x]):
-            out.append(Violation("transformation unit", (x,)))
+            yield Violation("transformation unit", (x,))
 
     for r, (f, fp) in c.cells.items():
         x, y = c.arrows[f]
@@ -292,7 +292,7 @@ def verify_lax_transformation(
             target.whisker_right(gun.cell_map[r], h.at_obj[x]), h.at_arrow[f]
         )
         if lhs != rhs:
-            out.append(Violation("transformation naturality", (r,)))
+            yield Violation("transformation naturality", (r,))
 
     for g, f in c.composable_arrow_pairs():
         x, y = c.arrows[f]
@@ -309,8 +309,7 @@ def verify_lax_transformation(
             target.whisker_right(gun.comp_cell[(g, f)], h.at_obj[x]), h.at_arrow[gf]
         )
         if lhs != rhs:
-            out.append(Violation("transformation prism", (g, f)))
-    return out
+            yield Violation("transformation prism", (g, f))
 
 
 @dataclass
@@ -349,7 +348,7 @@ def homotopy_to_lax_transformation(
 ) -> LaxTransformation:
     """Collapse prism data to a transformation and verify it.
 
-    Raises ValueError when the resulting data violates a transformation
+    Raises LawError when the resulting data violates a transformation
     axiom; the prisms of a genuine simplicial homotopy always pass."""
     c = fun.source
     at_arrow = {}
@@ -364,7 +363,5 @@ def homotopy_to_lax_transformation(
             raise ValueError(f"prism cell1 endpoints are wrong at {f}")
         at_arrow[f] = target.vcompose(c1, target.invert_cell(c0))
     h = LaxTransformation(dict(data.at_obj), at_arrow)
-    bad = verify_lax_transformation(h, fun, gun, target)
-    if bad:
-        raise ValueError(str(bad[0]))
+    require(verify_lax_transformation(h, fun, gun, target))
     return h

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import ne
 from typing import Iterator, Mapping, Sequence
 
 from . import gl2
-from .reports import Violation
+from .reports import Violation, gate
 from .twocat import Fin2Cat, Fin2Groupoid, find_quasi_inverse
 
 
@@ -93,7 +94,7 @@ class TableHandle:
     def quasi_inverse(self, f):
         got = find_quasi_inverse(self.cat, f)
         if got is None:
-            raise NoFillerError(f"arrow {f} has no quasi-inverse")
+            raise NoFillerError(str(Violation("quasi-inverse", (f,))))
         return got
 
     # enumeration hooks
@@ -225,24 +226,24 @@ def validate_simplex(handle, s: SimplexLabel) -> list[Violation]:
 
 def _validate_labels(handle, vertices, edges: Mapping, tris: Mapping, quads) -> list[Violation]:
     """Edge and triangle endpoints, then the tetrahedra in quads."""
-    out: list[Violation] = []
-    for (j, i), f in edges.items():
-        if handle.arrow_src(f) != vertices[i] or handle.arrow_tgt(f) != vertices[j]:
-            out.append(Violation("endpoint", (j, i), "edge does not match its vertices"))
-    if out:
-        return out
-    for (k, j, i), r in tris.items():
-        want_src = edges[(k, i)]
-        want_tgt = handle.compose(edges[(k, j)], edges[(j, i)])
-        if handle.cell_src(r) != want_src or handle.cell_tgt(r) != want_tgt:
-            out.append(Violation("endpoint", (k, j, i), "triangle cell does not match its edges"))
-    if out:
-        return out
-    for quad in quads:
-        lhs, rhs = _tetrahedron_sides(handle, edges, tris, quad)
-        if lhs != rhs:
-            out.append(Violation("tetrahedron", quad))
-    return out
+    return gate(
+        (
+            Violation("endpoint", (j, i), "edge does not match its vertices")
+            for (j, i), f in edges.items()
+            if handle.arrow_src(f) != vertices[i] or handle.arrow_tgt(f) != vertices[j]
+        ),
+        (
+            Violation("endpoint", (k, j, i), "triangle cell does not match its edges")
+            for (k, j, i), r in tris.items()
+            if handle.cell_src(r) != edges[(k, i)]
+            or handle.cell_tgt(r) != handle.compose(edges[(k, j)], edges[(j, i)])
+        ),
+        (
+            Violation("tetrahedron", quad)
+            for quad in quads
+            if ne(*_tetrahedron_sides(handle, edges, tris, quad))
+        ),
+    )
 
 
 def _reindex(handle, s: SimplexLabel, size: int, m) -> SimplexLabel:

@@ -17,19 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .chain2 import ChainMap2, Fiber2, HomologyDims, _trusted, homology, is_quasi_iso
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows, identity_cell
 from .groupoid import FinGroupoid
-from .laxmaps import LaxFunctor, LaxTransformation, verify_lax_transformation
+from .laxmaps import LaxFunctor, LaxTransformation
 from .linalg import RatMatrix
-from .nerve import GLHandle
-from .reports import Violation
+from .reports import LawError, Violation, gate, missing
 from .twocat import from_groupoid
-
-
-class NotQuasiIsoError(ValueError):
-    """A morphism whose point maps are not quasi-isomorphisms."""
 
 
 @dataclass
@@ -43,92 +40,77 @@ class Ruth2:
     gamma: dict  # (h, g) -> RatMatrix V0(src g) -> V1(tgt h)
 
 
-def _totality(r: Ruth2) -> list[Violation]:
-    out: list[Violation] = []
-    g = r.groupoid
-    for x in g.objects:
-        if x not in r.fibers:
-            out.append(Violation("totality", (x,), "object has no fiber"))
-    for a in g.arrows:
-        if a not in r.rho1 or a not in r.rho0:
-            out.append(Violation("totality", (a,), "arrow has no action"))
-    for pair in g.composable_pairs():
-        if pair not in r.gamma:
-            out.append(Violation("totality", pair, "pair has no correction"))
-    return out
-
-
-def _in_the(side: str, violations: list[Violation]) -> list[Violation]:
+def _in_the(side: str, violations: Iterable[Violation]) -> Iterator[Violation]:
     """Violations of a morphism's source or target, marked as such."""
-    return [replace(v, detail=f"{v.detail} in the {side}".lstrip()) for v in violations]
+    return (replace(v, detail=f"{v.detail} in the {side}".lstrip()) for v in violations)
 
 
 def verify_ruth(r: Ruth2) -> list[Violation]:
-    out = _totality(r)
-    if out:
-        return out
-
     g = r.groupoid
-    for a, (x, y) in g.arrows.items():
-        fx, fy = r.fibers[x], r.fibers[y]
-        r1, r0 = r.rho1[a], r.rho0[a]
-        if (r1.rows, r1.cols) != (fy.dim1, fx.dim1) or (r0.rows, r0.cols) != (
-            fy.dim0,
-            fx.dim0,
-        ):
-            out.append(Violation("shape", (a,), "action matrices"))
-        elif fy.d @ r1 != r0 @ fx.d:
-            out.append(Violation("chain condition", (a,)))
-    for (h, a), c in r.gamma.items():
-        x = g.src(a)
-        z = g.tgt(h)
-        if (c.rows, c.cols) != (r.fibers[z].dim1, r.fibers[x].dim0):
-            out.append(Violation("shape", (h, a), "correction matrix"))
-    if out:
-        return out
+    return gate(
+        missing(
+            (g.objects, r.fibers, "object has no fiber"),
+            (g.arrows, r.rho1.keys() & r.rho0.keys(), "arrow has no action"),
+            (g.composable_pairs(), r.gamma, "pair has no correction"),
+        ),
+        chain(
+            _chain_maps(
+                ((a, r.fibers[x], r.fibers[y]) for a, (x, y) in g.arrows.items()),
+                r.rho1,
+                r.rho0,
+                "action matrices",
+            ),
+            (
+                Violation("shape", (h, a), "correction matrix")
+                for (h, a), c in r.gamma.items()
+                if (c.rows, c.cols) != (r.fibers[g.tgt(h)].dim1, r.fibers[g.src(a)].dim0)
+            ),
+        ),
+        _units(r, "unit arrow must act as the identity", "correction at a unit must vanish"),
+        chain(_composition(r), (Violation("cocycle", t) for t in _cocycle_sites(r))),
+    )
 
-    arrows, pairs = _unit_sites(r)
-    out = [Violation("unit", (u,), "unit arrow must act as the identity") for u in arrows]
-    out += [Violation("unit", pair, "correction at a unit must vanish") for pair in pairs]
-    if out:
-        return out
 
+def _chain_maps(sites, a1: dict, a0: dict, detail: str) -> Iterator[Violation]:
+    """The shape, then the chain condition, of (a1[k], a0[k]) from the fiber
+    f to the fiber fp, for each site (k, f, fp)."""
+    for k, f, fp in sites:
+        t1, t0 = a1[k], a0[k]
+        if (t1.rows, t1.cols, t0.rows, t0.cols) != (fp.dim1, f.dim1, fp.dim0, f.dim0):
+            yield Violation("shape", (k,), detail)
+        elif fp.d @ t1 != t0 @ f.d:
+            yield Violation("chain condition", (k,))
+
+
+def _composition(r: Ruth2) -> Iterator[Violation]:
+    g = r.groupoid
     for h, a in g.composable_pairs():
         ha = g.compose(h, a)
         x = g.src(a)
         z = g.tgt(h)
         c = r.gamma[(h, a)]
         if c @ r.fibers[x].d != r.rho1[ha] - r.rho1[h] @ r.rho1[a]:
-            out.append(Violation("composition homotopy", (h, a), "degree 1"))
+            yield Violation("composition homotopy", (h, a), "degree 1")
         if r.fibers[z].d @ c != r.rho0[ha] - r.rho0[h] @ r.rho0[a]:
-            out.append(Violation("composition homotopy", (h, a), "degree 0"))
-
-    out += [Violation("cocycle", t) for t in _cocycle_sites(r)]
-    return out
+            yield Violation("composition homotopy", (h, a), "degree 0")
 
 
-def _unit_sites(r: Ruth2) -> tuple[list, list]:
-    """Unit arrows that do not act as the identity, and the pairs through a
+def _units(r: Ruth2, arrow_detail: str, pair_detail: str) -> Iterator[Violation]:
+    """Unit arrows that do not act as the identity, then the pairs through a
     unit whose correction does not vanish."""
     g = r.groupoid
-    arrows = []
     for x in g.objects:
         u = g.unit(x)
         f = r.fibers[x]
-        if r.rho1[u] != RatMatrix.identity(f.dim1) or r.rho0[u] != RatMatrix.identity(
-            f.dim0
-        ):
-            arrows.append(u)
+        if r.rho1[u] != RatMatrix.identity(f.dim1) or r.rho0[u] != RatMatrix.identity(f.dim0):
+            yield Violation("unit", (u,), arrow_detail)
     units = {g.unit(x) for x in g.objects}
-    pairs = [
-        (h, a)
-        for (h, a), c in r.gamma.items()
-        if (h in units or a in units) and not c.is_zero
-    ]
-    return arrows, pairs
+    for (h, a), c in r.gamma.items():
+        if (h in units or a in units) and not c.is_zero:
+            yield Violation("unit", (h, a), pair_detail)
 
 
-def _cocycle_sites(r: Ruth2) -> list:
+def _cocycle_sites(r: Ruth2) -> Iterator[tuple]:
     """Composable triples (k, h, a) at which
 
         rho1(k) gamma(h, a) + gamma(k, ha) = gamma(k, h) rho0(a) + gamma(kh, a)
@@ -136,15 +118,13 @@ def _cocycle_sites(r: Ruth2) -> list:
     fails.  Read on the pseudo-functor, this is the coherence of the
     comparison cells."""
     g = r.groupoid
-    out = []
     for k, h, a in g.composable_triples():
         kh = g.compose(k, h)
         ha = g.compose(h, a)
         lhs = r.rho1[k] @ r.gamma[(h, a)] + r.gamma[(k, ha)]
         rhs = r.gamma[(k, h)] @ r.rho0[a] + r.gamma[(kh, a)]
         if lhs != rhs:
-            out.append((k, h, a))
-    return out
+            yield k, h, a
 
 
 @dataclass
@@ -159,64 +139,56 @@ class PseudoFunctorGL:
 
 
 def verify_pseudofunctor(p: PseudoFunctorGL) -> list[Violation]:
-    out: list[Violation] = []
     g = p.groupoid
-    for x in g.objects:
-        if x not in p.at_obj:
-            out.append(Violation("totality", (x,), "object has no image"))
-    for a in g.arrows:
-        if a not in p.at_arrow:
-            out.append(Violation("totality", (a,), "arrow has no image"))
-    for pair in g.composable_pairs():
-        if pair not in p.comp_cell:
-            out.append(Violation("totality", pair, "no comparison cell"))
-    if out:
-        return out
-    for a, (x, y) in g.arrows.items():
-        f = p.at_arrow[a]
-        if f.src != p.at_obj[x] or f.dst != p.at_obj[y]:
-            out.append(Violation("endpoint", (a,), "arrow image endpoints"))
-    if out:
-        return out
-    for (h, a), cell in p.comp_cell.items():
-        want_src = p.at_arrow[g.compose(h, a)]
-        want_tgt = compose_arrows(p.at_arrow[h], p.at_arrow[a])
-        if cell.source != want_src or cell.target != want_tgt:
-            out.append(Violation("endpoint", (h, a), "comparison cell endpoints"))
-    if out:
-        return out
+    return gate(
+        missing(
+            (g.objects, p.at_obj, "object has no image"),
+            (g.arrows, p.at_arrow, "arrow has no image"),
+            (g.composable_pairs(), p.comp_cell, "no comparison cell"),
+        ),
+        (
+            Violation("endpoint", (a,), "arrow image endpoints")
+            for a, (x, y) in g.arrows.items()
+            if p.at_arrow[a].src != p.at_obj[x] or p.at_arrow[a].dst != p.at_obj[y]
+        ),
+        (
+            Violation("endpoint", (h, a), "comparison cell endpoints")
+            for (h, a), cell in p.comp_cell.items()
+            if cell.source != p.at_arrow[g.compose(h, a)]
+            or cell.target != compose_arrows(p.at_arrow[h], p.at_arrow[a])
+        ),
+        _functor_matrix_laws(p),
+    )
 
+
+def _functor_matrix_laws(p: PseudoFunctorGL) -> Iterator[Violation]:
     # The chain and homotopy equations hold by construction of the cells;
     # unit and coherence are the unit and cocycle laws of the matrices.
     r = pseudofunctor_to_ruth(p)
-    arrows, pairs = _unit_sites(r)
-    out = [Violation("unit", (u,), "unit arrow image") for u in arrows]
-    out += [Violation("unit", pair, "comparison cell at a unit") for pair in pairs]
-    if out:
-        return out
-    return [Violation("coherence", t) for t in _cocycle_sites(r)]
+    yield from gate(
+        _units(r, "unit arrow image", "comparison cell at a unit"),
+        (Violation("coherence", t) for t in _cocycle_sites(r)),
+    )
 
 
-def verify_transformation(
-    src: PseudoFunctorGL, dst: PseudoFunctorGL, h: LaxTransformation
-) -> list[Violation]:
-    """The laws of a transformation src => dst: those of its source and
-    target first, then the transformation laws on the generic lax path."""
-    out = _in_the("source", verify_pseudofunctor(src))
-    out += _in_the("target", verify_pseudofunctor(dst))
-    if out:
-        return out
-    return verify_lax_transformation(h, as_lax_functor(src), as_lax_functor(dst), GLHandle())
+def _as_functor(r: Ruth2) -> list[Violation]:
+    """The laws of r read as a pseudo-functor: those its cells are built
+    under, then those of verify_pseudofunctor."""
+    try:
+        return verify_pseudofunctor(ruth_to_pseudofunctor(r))
+    except LawError as e:
+        return e.violations
 
 
 def ruth_to_pseudofunctor(r: Ruth2) -> PseudoFunctorGL:
     """Repackage the matrices as objects, arrows and 2-cells.
 
-    Chain and homotopy conditions are enforced by the constructors and
-    reported as ValueError naming the offending arrow or pair; the cocycle
-    condition is deliberately not consumed here, so that verifying the
-    result mirrors verifying the input.  Only the corrections present are
-    carried over, so that verification reports a missing one as totality."""
+    Chain, homotopy and quasi-isomorphism conditions are enforced by the
+    constructors and raise LawError at the offending arrow or pair; the
+    cocycle condition is deliberately not consumed here, so that verifying
+    the result mirrors verifying the input.  Only the corrections present
+    are carried over, so that verification reports a missing one as
+    totality."""
     g = r.groupoid
     at_obj = {x: GLObject(x, r.fibers[x]) for x in g.objects}
     at_arrow = {}
@@ -224,18 +196,16 @@ def ruth_to_pseudofunctor(r: Ruth2) -> PseudoFunctorGL:
         try:
             m = ChainMap2(r.fibers[x], r.fibers[y], r.rho1[a], r.rho0[a])
             at_arrow[a] = GLArrow(at_obj[x], at_obj[y], m)
-        except ValueError as e:
-            raise ValueError(f"arrow {a} does not give a valid map: {e}") from e
+        except LawError as e:
+            raise e.at((a,)) from None
     comp_cell = {}
     for (h, a), c in r.gamma.items():
         try:
             comp_cell[(h, a)] = GL2Cell(
                 at_arrow[g.compose(h, a)], compose_arrows(at_arrow[h], at_arrow[a]), c
             )
-        except ValueError as e:
-            raise ValueError(
-                f"pair ({h}, {a}) does not give a valid correction: {e}"
-            ) from e
+        except LawError as e:
+            raise e.at((h, a)) from None
     return PseudoFunctorGL(g, at_obj, at_arrow, comp_cell)
 
 
@@ -271,48 +241,78 @@ class RuthMorphism:
     mu: dict
 
 
-def verify_morphism(m: RuthMorphism) -> list[Violation]:
+def verify_morphism(m: RuthMorphism, style: str = "ruth") -> list[Violation]:
+    """The laws of a morphism, checked on its matrices in either style.
+
+    In style "ruth" the source and target must be representations up to
+    homotopy.  In style "lax" the morphism is read as the transformation of
+    pseudo-functors it carries: source and target must be pseudo-functors,
+    every component a quasi-isomorphism, and the unit and pair laws take the
+    names "transformation unit" (at an object) and "transformation prism"."""
     g = m.src.groupoid
     if m.dst.groupoid is not g and m.dst.groupoid != g:
         return [Violation("totality", (), "source and target over different groupoids")]
-    out = _in_the("source", _totality(m.src)) + _in_the("target", _totality(m.dst))
-    for x in g.objects:
-        if x not in m.theta1 or x not in m.theta0:
-            out.append(Violation("totality", (x,), "object has no component"))
-    for a in g.arrows:
-        if a not in m.mu:
-            out.append(Violation("totality", (a,), "arrow has no homotopy"))
-    if out:
-        return out
+    lax = style == "lax"
+    ends = _as_functor if lax else verify_ruth
+    pair_law = "transformation prism" if lax else "morphism pair"
+    return gate(
+        chain(
+            _in_the("source", ends(m.src)),
+            _in_the("target", ends(m.dst)),
+            missing(
+                (g.objects, m.theta1.keys() & m.theta0.keys(), "object has no component"),
+                (g.arrows, m.mu, "arrow has no homotopy"),
+            ),
+        ),
+        _chain_maps(
+            ((x, m.src.fibers[x], m.dst.fibers[x]) for x in g.objects),
+            m.theta1,
+            m.theta0,
+            "component matrices",
+        ),
+        _quasi_isos(m) if lax else (),
+        _naturality(m, lax),
+        (Violation(pair_law, pair) for pair in _pair_sites(m)),
+    )
 
-    for x in g.objects:
-        f, fp = m.src.fibers[x], m.dst.fibers[x]
-        t1, t0 = m.theta1[x], m.theta0[x]
-        if (t1.rows, t1.cols) != (fp.dim1, f.dim1) or (t0.rows, t0.cols) != (
-            fp.dim0,
-            f.dim0,
-        ):
-            out.append(Violation("shape", (x,), "component matrices"))
-        elif fp.d @ t1 != t0 @ f.d:
-            out.append(Violation("chain condition", (x,)))
-    if out:
-        return out
 
+def _quasi_isos(m: RuthMorphism) -> Iterator[Violation]:
+    for x in m.src.groupoid.objects:
+        # chain maps: the stage before has checked them
+        t = _trusted(ChainMap2, m.src.fibers[x], m.dst.fibers[x], m.theta1[x], m.theta0[x])
+        if not is_quasi_iso(t):
+            yield Violation("quasi-isomorphism", (x,))
+
+
+def _naturality(m: RuthMorphism, lax: bool) -> Iterator[Violation]:
+    """The homotopy equations of each mu[a], then mu vanishing at units."""
+    g = m.src.groupoid
     for a, (x, y) in g.arrows.items():
         mu = m.mu[a]
         if (mu.rows, mu.cols) != (m.dst.fibers[y].dim1, m.src.fibers[x].dim0):
-            out.append(Violation("shape", (a,), "homotopy matrix"))
+            yield Violation("shape", (a,), "homotopy matrix")
             continue
         if m.theta1[y] @ m.src.rho1[a] - m.dst.rho1[a] @ m.theta1[x] != mu @ m.src.fibers[x].d:
-            out.append(Violation("morphism homotopy", (a,), "degree 1"))
+            yield Violation("morphism homotopy", (a,), "degree 1")
         if m.theta0[y] @ m.src.rho0[a] - m.dst.rho0[a] @ m.theta0[x] != m.dst.fibers[y].d @ mu:
-            out.append(Violation("morphism homotopy", (a,), "degree 0"))
+            yield Violation("morphism homotopy", (a,), "degree 0")
     for x in g.objects:
-        if not m.mu[g.unit(x)].is_zero:
-            out.append(Violation("unit", (g.unit(x),), "homotopy at a unit must vanish"))
-    if out:
-        return out
+        u = g.unit(x)
+        if not m.mu[u].is_zero:
+            if lax:
+                yield Violation("transformation unit", (x,))
+            else:
+                yield Violation("unit", (u,), "homotopy at a unit must vanish")
 
+
+def _pair_sites(m: RuthMorphism) -> Iterator[tuple]:
+    """Composable pairs (h, a) at which
+
+        theta1(z) gamma(h, a) + mu(h) rho0(a) + rho1'(h) mu(a) = mu(ha) + gamma'(h, a) theta0(x)
+
+    fails: the morphism pair law, and read on the transformation of
+    pseudo-functors, its prism."""
+    g = m.src.groupoid
     for h, a in g.composable_pairs():
         x = g.src(a)
         z = g.tgt(h)
@@ -324,16 +324,11 @@ def verify_morphism(m: RuthMorphism) -> list[Violation]:
         )
         rhs = m.mu[ha] + m.dst.gamma[(h, a)] @ m.theta0[x]
         if lhs != rhs:
-            out.append(Violation("morphism pair", (h, a)))
-    return out
+            yield h, a
 
 
 def is_quasi_iso_morphism(m: RuthMorphism) -> bool:
-    for x in m.src.groupoid.objects:
-        t = ChainMap2(m.src.fibers[x], m.dst.fibers[x], m.theta1[x], m.theta0[x])
-        if not is_quasi_iso(t):
-            return False
-    return True
+    return not any(_quasi_isos(m))
 
 
 def identity_morphism(r: Ruth2) -> RuthMorphism:
@@ -364,7 +359,7 @@ def morphism_to_transformation(m: RuthMorphism) -> LaxTransformation:
     """The transformation of pseudo-functors carried by a morphism.
 
     The per-point components must be quasi-isomorphisms to live in the
-    2-groupoid of complexes; otherwise NotQuasiIsoError is raised."""
+    2-groupoid of complexes; see components_to_transformation."""
     return components_to_transformation(
         ruth_to_pseudofunctor(m.src), ruth_to_pseudofunctor(m.dst), m.theta1, m.theta0, m.mu
     )
@@ -376,20 +371,17 @@ def components_to_transformation(
     """The transformation src => dst with components (theta1[x], theta0[x])
     and, for each arrow a present in mu, the cell of homotopy matrix mu[a].
 
-    A component that is not a chain map, or a cell matrix that fails the
-    homotopy equations, raises ValueError naming the point or arrow; a
-    component that is not a quasi-isomorphism raises NotQuasiIsoError."""
+    A component that is not a quasi-isomorphism of complexes, or a cell
+    matrix that fails the homotopy equations, raises LawError at the point
+    or arrow."""
     g = src.groupoid
     at_obj = {}
     for x in g.objects:
         sx, dx = src.at_obj[x], dst.at_obj[x]
         try:
-            t = ChainMap2(sx.fiber, dx.fiber, theta1[x], theta0[x])
-        except ValueError as e:
-            raise ValueError(f"component at {x} does not give a valid map: {e}") from e
-        if not is_quasi_iso(t):
-            raise NotQuasiIsoError(f"component at {x} is not a quasi-isomorphism")
-        at_obj[x] = _trusted(GLArrow, sx, dx, t)  # checked just above
+            at_obj[x] = GLArrow(sx, dx, ChainMap2(sx.fiber, dx.fiber, theta1[x], theta0[x]))
+        except LawError as e:
+            raise e.at((x,)) from None
     at_arrow = {}
     for a, r in mu.items():
         x, y = g.arrows[a]
@@ -399,8 +391,8 @@ def components_to_transformation(
                 compose_arrows(dst.at_arrow[a], at_obj[x]),
                 r,
             )
-        except ValueError as e:
-            raise ValueError(f"cell at {a} does not give a valid homotopy: {e}") from e
+        except LawError as e:
+            raise e.at((a,)) from None
     return LaxTransformation(at_obj, at_arrow)
 
 

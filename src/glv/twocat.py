@@ -10,11 +10,11 @@ of arrows are found by search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Iterable, Mapping
+from itertools import chain, product
+from typing import Iterable, Iterator, Mapping
 
 from .groupoid import FinGroupoid
-from .reports import Violation
+from .reports import Violation, gate
 
 
 @dataclass
@@ -87,37 +87,39 @@ class Fin2Groupoid(Fin2Cat):
 
 
 def verify_2category(c: Fin2Cat) -> list[Violation]:
-    out: list[Violation] = []
+    no_unit = chain(
+        (x for x in c.objects if c.arrows.get(c.unit_arrow.get(x)) != (x, x)),
+        (f for f in c.arrows if c.cells.get(c.unit_cell.get(f)) != (f, f)),
+    )
+    return gate(
+        _endpoints(c),
+        (Violation("unit law", (u,)) for u in no_unit),
+        _tables(c),
+        _2category_laws(c),
+    )
+
+
+def _endpoints(c: Fin2Cat) -> Iterator[Violation]:
     for f, (s, t) in c.arrows.items():
         if s not in c.objects or t not in c.objects:
-            out.append(Violation("endpoint", (f,)))
+            yield Violation("endpoint", (f,))
     for r, (f, g) in c.cells.items():
         if f not in c.arrows or g not in c.arrows:
-            out.append(Violation("endpoint", (r,)))
+            yield Violation("endpoint", (r,))
         elif c.arrows[f] != c.arrows[g]:
-            out.append(Violation("endpoint", (r,), "2-cell between non-parallel arrows"))
-    if out:
-        return out
-    for x in c.objects:
-        u = c.unit_arrow.get(x)
-        if u is None or c.arrows.get(u) != (x, x):
-            out.append(Violation("unit law", (x,)))
-    for f in c.arrows:
-        u = c.unit_cell.get(f)
-        if u is None or c.cells.get(u) != (f, f):
-            out.append(Violation("unit law", (f,)))
-    if out:
-        return out
+            yield Violation("endpoint", (r,), "2-cell between non-parallel arrows")
 
-    # totality of the tables on composable pairs
+
+def _tables(c: Fin2Cat) -> Iterator[Violation]:
+    """Totality of the tables on composable pairs."""
     for g, f in c.composable_arrow_pairs():
         r = c.comp1.get((g, f))
         if r is None or c.arrows.get(r) != (c.arrow_src(f), c.arrow_tgt(g)):
-            out.append(Violation("composability", (g, f)))
+            yield Violation("composability", (g, f))
     for s, r in c.vcomposable_cell_pairs():
         v = c.vcomp.get((s, r))
         if v is None or c.cells.get(v) != (c.cell_src(r), c.cell_tgt(s)):
-            out.append(Violation("composability", (s, r), "vertical"))
+            yield Violation("composability", (s, r), "vertical")
     for s, r in c.hcomposable_cell_pairs():
         h = c.hcomp.get((s, r))
         # .get: a missing arrow composite is already reported above
@@ -126,49 +128,49 @@ def verify_2category(c: Fin2Cat) -> list[Violation]:
             c.comp1.get((c.cell_tgt(s), c.cell_tgt(r))),
         )
         if h is None or c.cells.get(h) != expect:
-            out.append(Violation("composability", (s, r), "horizontal"))
-    if out:
-        return out
+            yield Violation("composability", (s, r), "horizontal")
 
+
+def _2category_laws(c: Fin2Cat) -> Iterator[Violation]:
     for g, f in c.composable_arrow_pairs():
         gf = c.compose(g, f)
         if c.compose(gf, c.unit_arrow[c.arrow_src(f)]) != gf:
-            out.append(Violation("unit law", (gf,)))
+            yield Violation("unit law", (gf,))
     for f in c.arrows:
         if (
             c.compose(f, c.unit_arrow[c.arrow_src(f)]) != f
             or c.compose(c.unit_arrow[c.arrow_tgt(f)], f) != f
         ):
-            out.append(Violation("unit law", (f,)))
+            yield Violation("unit law", (f,))
     for h, g in c.composable_arrow_pairs():
         for f in c.arrows:
             if c.arrow_src(g) == c.arrow_tgt(f):
                 if c.compose(c.compose(h, g), f) != c.compose(h, c.compose(g, f)):
-                    out.append(Violation("associativity", (h, g, f)))
+                    yield Violation("associativity", (h, g, f))
     for r in c.cells:
         f, g = c.cells[r]
         if c.vcompose(r, c.unit_cell[f]) != r or c.vcompose(c.unit_cell[g], r) != r:
-            out.append(Violation("unit law", (r,), "vertical"))
+            yield Violation("unit law", (r,), "vertical")
     for t, s in c.vcomposable_cell_pairs():
         for r in c.cells:
             if c.cell_tgt(r) == c.cell_src(s):
                 if c.vcompose(c.vcompose(t, s), r) != c.vcompose(t, c.vcompose(s, r)):
-                    out.append(Violation("associativity", (t, s, r), "vertical"))
+                    yield Violation("associativity", (t, s, r), "vertical")
     for s, r in c.hcomposable_cell_pairs():
         for q in c.cells:
             if c.arrow_src(c.cell_src(r)) == c.arrow_tgt(c.cell_src(q)):
                 if c.hcompose(c.hcompose(s, r), q) != c.hcompose(s, c.hcompose(r, q)):
-                    out.append(Violation("associativity", (s, r, q), "horizontal"))
+                    yield Violation("associativity", (s, r, q), "horizontal")
     for f in c.arrows:
         u_src = c.unit_cell[c.unit_arrow[c.arrow_src(f)]]
         u_tgt = c.unit_cell[c.unit_arrow[c.arrow_tgt(f)]]
         for r in c.cells_between_any(f):
             if c.hcompose(r, u_src) != r or c.hcompose(u_tgt, r) != r:
-                out.append(Violation("unit law", (r,), "horizontal"))
+                yield Violation("unit law", (r,), "horizontal")
     # identity cells are multiplicative for horizontal composition
     for g, f in c.composable_arrow_pairs():
         if c.hcompose(c.unit_cell[g], c.unit_cell[f]) != c.unit_cell[c.compose(g, f)]:
-            out.append(Violation("unit law", (g, f), "horizontal composite of identity cells"))
+            yield Violation("unit law", (g, f), "horizontal composite of identity cells")
     # interchange
     for sp, s in c.vcomposable_cell_pairs():
         for rp, r in c.vcomposable_cell_pairs():
@@ -176,8 +178,7 @@ def verify_2category(c: Fin2Cat) -> list[Violation]:
                 lhs = c.hcompose(c.vcompose(sp, s), c.vcompose(rp, r))
                 rhs = c.vcompose(c.hcompose(sp, rp), c.hcompose(s, r))
                 if lhs != rhs:
-                    out.append(Violation("interchange", (sp, s, rp, r)))
-    return out
+                    yield Violation("interchange", (sp, s, rp, r))
 
 
 def find_quasi_inverse(c: Fin2Cat, f: str) -> tuple[str, str, str] | None:
@@ -192,23 +193,23 @@ def find_quasi_inverse(c: Fin2Cat, f: str) -> tuple[str, str, str] | None:
 
 
 def verify_2groupoid(g: Fin2Groupoid) -> list[Violation]:
-    out = verify_2category(g)
-    if out:
-        return out
+    return gate(verify_2category(g), _inverses(g))
+
+
+def _inverses(g: Fin2Groupoid) -> Iterator[Violation]:
     for r in g.cells:
         s = g.inv2.get(r)
         f_src, f_tgt = g.cells[r]
         if s is None or g.cells.get(s) != (f_tgt, f_src):
-            out.append(Violation("inverse law", (r,), "vertical inverse missing"))
+            yield Violation("inverse law", (r,), "vertical inverse missing")
         elif (
             g.vcompose(s, r) != g.unit_cell[f_src]
             or g.vcompose(r, s) != g.unit_cell[f_tgt]
         ):
-            out.append(Violation("inverse law", (r,), "2-cell not invertible"))
+            yield Violation("inverse law", (r,), "2-cell not invertible")
     for f in g.arrows:
         if find_quasi_inverse(g, f) is None:
-            out.append(Violation("quasi-inverse", (f,), "arrow not invertible up to a 2-cell"))
-    return out
+            yield Violation("quasi-inverse", (f,), "arrow not invertible up to a 2-cell")
 
 
 def verify_fin2cat(c: Fin2Cat) -> list[Violation]:

@@ -34,7 +34,6 @@ from glv.nerve import (
 from glv.ruth import (
     Ruth2,
     lines_projection_rep,
-    morphism_to_transformation,
     ruth_to_pseudofunctor,
     verify_morphism,
     verify_pseudofunctor,
@@ -146,15 +145,8 @@ def main(out: Path = HERE) -> None:
     assert verify_morphism(morphism) == []
     write(out, "morphism_ruth.json", "morphism", docs.encode_ruth_morphism(morphism))
 
-    h = morphism_to_transformation(morphism)
-    msrc = ruth_to_pseudofunctor(morphism.src)
-    mdst = ruth_to_pseudofunctor(morphism.dst)
-    write(
-        out,
-        "morphism_lax.json",
-        "morphism",
-        docs.encode_lax_morphism(msrc, mdst, h.at_obj, h.at_arrow),
-    )
+    assert verify_morphism(morphism, "lax") == []
+    write(out, "morphism_lax.json", "morphism", docs.encode_lax_morphism(morphism))
 
     # ---- semantically broken documents (verify exits 1) ------------------
     broken_group = one_object_group(4)
@@ -255,31 +247,17 @@ def main(out: Path = HERE) -> None:
         m = rand_ruth_morphism(rng, r)
         if verify_morphism(m) != []:
             continue
-        h = morphism_to_transformation(m)
         a = "b|a"
         x, y = m.src.groupoid.arrows[a]
         if homotopy_kernel_basis(m.src.fibers[x], m.dst.fibers[y]).cols == 0:
             continue
-        cell = h.at_arrow[a]
-        bump = kernel_bump(m.src.fibers[x], m.dst.fibers[y], cell.r)
-        h.at_arrow = dict(h.at_arrow)
-        h.at_arrow[a] = GL2Cell(cell.source, cell.target, cell.r + bump)
-        payload = docs.encode_lax_morphism(
-            ruth_to_pseudofunctor(m.src), ruth_to_pseudofunctor(m.dst), h.at_obj, h.at_arrow
-        )
-        src2, dst2, at_obj, at_arrow = docs.decode_lax_morphism(payload)
-        from glv.laxmaps import LaxTransformation, verify_lax_transformation
-        from glv.ruth import as_lax_functor
-
-        got = laws(
-            verify_lax_transformation(
-                LaxTransformation(at_obj, at_arrow),
-                as_lax_functor(src2),
-                as_lax_functor(dst2),
-                GLHandle(),
-            )
-        )
-        if got == {"transformation prism"}:
+        bump = kernel_bump(m.src.fibers[x], m.dst.fibers[y], m.mu[a])
+        m.mu = dict(m.mu)
+        m.mu[a] = m.mu[a] + bump
+        payload = docs.encode_lax_morphism(m)
+        if laws(verify_morphism(docs.decode_lax_morphism(payload), "lax")) == {
+            "transformation prism"
+        }:
             break
     write(out, "bad_morphism_prism.json", "morphism", payload)
 

@@ -54,7 +54,6 @@ from glv.nerve import (
     validate_simplex,
 )
 from glv.ruth import (
-    NotQuasiIsoError,
     as_lax_functor,
     double_rep,
     is_acyclic,

@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from glv.cli import main
-from glv.documents import dump_document, load_document
+from glv.documents import decode_ruth, dump_document, encode_ruth_morphism, load_document
+from glv.ruth import identity_morphism
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -214,12 +215,34 @@ def test_generate_lines_projection_fails_composition(tmp_path):
 
 
 def test_generate_rejects_bad_parameters():
-    assert run("generate", "pair", "--points", " , ").exit_code == 1
-    assert run("generate", "action", "--n", "0").exit_code == 1
-    assert run("generate", "delooping", "--n", "-1").exit_code == 1
+    assert run("generate", "pair", "--points", " , ").exit_code == 2
+    assert run("generate", "action", "--n", "0").exit_code == 2
+    assert run("generate", "delooping", "--n", "-1").exit_code == 2
     result = run("generate", "lines-projection", "--lines", "1,0;0,1")
-    assert result.exit_code == 1 and "orthogonal" in result.output
-    assert run("generate", "doubling", "--lines", "0,0").exit_code == 1
+    assert result.exit_code == 2 and "orthogonal" in result.output
+    assert run("generate", "doubling", "--lines", "0,0").exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "example, args",
+    [
+        ("pair", ["--points", ","]),
+        ("pair", ["--points", "a,a"]),
+        ("action", ["--n", "0"]),
+        ("delooping", ["--n", "0"]),
+        ("lines-projection", ["--lines", "0,0;1,1"]),
+        ("lines-projection", ["--lines", "1,0;0,1"]),
+        ("lines-projection", ["--lines", "a,b"]),
+        ("lines-projection", ["--lines", "1/0,1"]),
+        ("doubling", ["--lines", "1,0;0,1"]),
+    ],
+)
+def test_generate_bad_parameters_are_usage_errors(example, args):
+    result = run("generate", example, *args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
 
 
 def test_generate_writes_stdout_by_default():
@@ -351,3 +374,64 @@ def test_an_empty_compose_table_is_a_law_failure(tmp_path, verb):
     result = run(verb[0], path, *verb[1:])
     assert _laws(result) == {"composability"}
     assert "composability fails at ('a|a', 'a|a')" in result.output
+
+
+def test_a_morphism_between_broken_representations_is_refused(tmp_path):
+    _, payload = load_document((FIXTURES / "bad_ruth_cocycle.json").read_text())
+    m = identity_morphism(decode_ruth(payload))
+    path = tmp_path / "identity_on_broken.json"
+    path.write_text(dump_document("morphism", encode_ruth_morphism(m)))
+    result = run("verify", path)
+    assert _laws(result) == {"cocycle"}
+    lines = result.output.splitlines()
+    assert any(line.endswith(": in the source") for line in lines)
+    assert any(line.endswith(": in the target") for line in lines)
+    converted = run("convert", path, "--direction", "morphism-to-lax")
+    assert converted.output == result.output
+    assert converted.exit_code == 1
+
+
+def test_converting_a_morphism_needs_quasi_isomorphisms(tmp_path):
+    def zero(p):
+        for table in ("theta1", "theta0", "mu"):
+            for m in p[table].values():
+                for row in m:
+                    row[:] = ["0"] * len(row)
+
+    path = _mutated(tmp_path, "morphism_ruth.json", zero)
+    assert run("verify", path).output == "ok: morphism\n"
+    result = run("convert", path, "--direction", "morphism-to-lax")
+    assert _laws(result) == {"quasi-isomorphism"}
+    assert result.output.splitlines()[0] == "quasi-isomorphism fails at ('a',)"
+
+
+def test_fill_names_the_arrow_without_a_quasi_inverse(tmp_path):
+    # objects x, y; one non-identity arrow f: x -> y; identity 2-cells only
+    arrows = {"1x": ["x", "x"], "1y": ["y", "y"], "f": ["x", "y"]}
+    pairs = [["1x", "1x", "1x"], ["1y", "1y", "1y"], ["f", "1x", "f"], ["1y", "f", "f"]]
+    cell = {a: f"i{a}" for a in arrows}
+    cells = [[cell[g], cell[f], cell[gf]] for g, f, gf in pairs]
+    category = {
+        "objects": ["x", "y"],
+        "arrows": arrows,
+        "cells": {cell[a]: [a, a] for a in arrows},
+        "compose": pairs,
+        "hcompose": cells,
+        "vcompose": [[c, c, c] for c in cell.values()],
+        "unit_arrows": {"x": "1x", "y": "1y"},
+        "unit_cells": cell,
+    }
+    horn = {
+        "handle": "table",
+        "missing": 0,
+        "vertices": ["x", "y", "y"],
+        "edges": {"1,0": "f", "2,0": "f"},
+        "triangles": {},
+        "category": category,
+    }
+    path = tmp_path / "horn_20.json"
+    path.write_text(dump_document("horn", horn))
+    assert run("verify", path).output == "ok: horn\n"
+    result = run("fill", path)
+    assert result.exit_code == 1
+    assert result.output == "no filler: quasi-inverse fails at ('f',)\n"

@@ -34,8 +34,8 @@ from glv.documents import (
 from glv.groupoid import pair_groupoid
 from glv.linalg import RatMatrix
 from glv.nerve import TableHandle, horn_of, validate_simplex
+from glv.reports import LawError
 from glv.ruth import (
-    morphism_to_transformation,
     pseudofunctor_to_ruth,
     ruth_to_pseudofunctor,
     verify_morphism,
@@ -137,7 +137,7 @@ def test_functor_with_bad_arrow_is_semantic_not_structural():
     arrow = sorted(payload["arrows"])[0]
     shape = payload["arrows"][arrow]["a0"]
     payload["arrows"][arrow]["a0"] = [["9" for _ in row] for row in shape]
-    with pytest.raises(ValueError, match="valid map"):
+    with pytest.raises(LawError, match=rf"^chain condition fails at \('{arrow}',\)$"):
         decode_functor(payload)
 
 
@@ -208,15 +208,11 @@ def test_lax_morphism_roundtrip():
     rng = random.Random(17)
     r = rand_ruth(rng, pair_groupoid(["a", "b"]))
     m = rand_ruth_morphism(rng, r)
-    h = morphism_to_transformation(m)
-    src = ruth_to_pseudofunctor(m.src)
-    dst = ruth_to_pseudofunctor(m.dst)
-    payload = roundtrip("morphism", encode_lax_morphism(src, dst, h.at_obj, h.at_arrow))
+    payload = roundtrip("morphism", encode_lax_morphism(m))
     assert morphism_style(payload) == "lax"
-    src2, dst2, at_obj, at_arrow = decode_lax_morphism(payload)
-    assert (src2, dst2) == (src, dst)
-    assert at_obj == h.at_obj
-    assert at_arrow == h.at_arrow
+    back = decode_lax_morphism(payload)
+    assert back == m
+    assert verify_morphism(back, "lax") == []
 
 
 def test_document_envelope_is_strict():

@@ -2,11 +2,13 @@
 
 Whatever the document, verify, fill, convert and nerve exit 0, 1 or 2 and
 raise nothing but SystemExit: a hostile document is a structural error or a
-named law failure, never a traceback.
+named law failure, never a traceback, and every exit-1 line names a law and
+the site where it fails.
 """
 
 import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,11 @@ DOCUMENTS = {p.name: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.
 EDITS = ("drop", "duplicate", "retype", "rename", "scalar", "empty")
 FOREIGN = (None, True, 0, 7, "", "x", "1/0", [], {}, [[]])
 SCALARS = ("0", "1", "-1", "2", "1/2", "a", "a|b")
+# An exit-1 line: context prefixes, then "<law> fails", its site and detail.
+LAW_LINE = re.compile(
+    r"^((payload\S*|no filler|horn data is not valid|no filler exists): )*"
+    r"[a-z][a-z0-9 -]* fails( at .+?)?(: .*)?$"
+)
 
 # One edit: a walk down from the payload (each number picks a nonempty child
 # table; a shorter walk edits a larger table), the entry to edit, the edit,
@@ -87,10 +94,22 @@ def _run(scratch, name, plan, args):
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         f"{type(result.exception).__name__}: {result.exception}"
     )
+    if result.exit_code == 1:
+        lines = result.output.splitlines()
+        assert lines and all(LAW_LINE.match(line) for line in lines), result.output
 
 
 @given(st.sampled_from(sorted(DOCUMENTS)), st.lists(edits, min_size=1, max_size=3))
 @example("two_category_pair.json", [([], 3, "empty", 0)])  # "compose": []
+# one entry bumped: a functor arrow, a functor compare entry, two gl edges, a
+# gl triangle, and a lax component and cell (the fixture with nonzero d)
+@example("functor.json", [([0, 1, 1, 0], 0, "scalar", 3)])
+@example("functor.json", [([1, 3, 0, 0], 0, "scalar", 3)])
+@example("simplex_gl.json", [([0, 0, 0, 0], 0, "scalar", 0)])
+@example("simplex_gl.json", [([0, 5, 0, 0], 0, "scalar", 0)])
+@example("simplex_gl.json", [([1, 0, 0], 0, "scalar", 3)])
+@example("bad_morphism_prism.json", [([1, 0, 1, 0], 0, "scalar", 1)])
+@example("bad_morphism_prism.json", [([0, 1, 0], 0, "scalar", 3)])
 @settings(max_examples=300, deadline=None)
 def test_verify_keeps_the_exit_contract(scratch, name, plan):
     _run(scratch, name, plan, ["verify"])

@@ -1,6 +1,7 @@
 """Representations up to homotopy and the pseudo-functor dictionary."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,14 +9,21 @@ import pytest
 
 import glv.gl2
 import glv.ruth
-from glv.chain2 import Fiber2
-from glv.documents import decode_ruth_morphism, load_document
+from glv.chain2 import Fiber2, homotopy_kernel_basis
+from glv.documents import (
+    decode_lax_morphism,
+    decode_ruth_morphism,
+    dump_document,
+    encode_lax_morphism,
+    encode_ruth_morphism,
+    load_document,
+)
 from glv.groupoid import action_groupoid, cyclic_group, pair_groupoid
 from glv.laxmaps import verify_lax_transformation
 from glv.linalg import RatMatrix
 from glv.nerve import GLHandle
+from glv.reports import LawError
 from glv.ruth import (
-    NotQuasiIsoError,
     Ruth2,
     RuthMorphism,
     as_lax_functor,
@@ -159,7 +167,7 @@ def test_chain_condition_reported_and_conversion_refuses():
     laws = {v.law for v in verify_ruth(bad)}
     assert "chain condition" in laws or "composition homotopy" in laws
     if "chain condition" in laws:
-        with pytest.raises(ValueError, match="arrow"):
+        with pytest.raises(LawError, match=r"chain condition fails at \('b\|a',\)"):
             ruth_to_pseudofunctor(bad)
 
 
@@ -228,7 +236,7 @@ def test_zero_morphism_is_valid_but_not_quasi_iso():
     )
     assert verify_morphism(zero) == []
     assert not is_quasi_iso_morphism(zero)
-    with pytest.raises(NotQuasiIsoError):
+    with pytest.raises(LawError, match=r"quasi-isomorphism fails at \('a',\)"):
         morphism_to_transformation(zero)
 
 
@@ -281,3 +289,79 @@ def test_components_to_transformation_checks_each_component_once(monkeypatch):
     h = components_to_transformation(src, dst, m.theta1, m.theta0, m.mu)
     assert len(h.at_obj) == 2 and len(h.at_arrow) == 4
     assert len(calls) == 2
+
+
+
+def _corner(rows: int, cols: int) -> RatMatrix:
+    """The rows x cols matrix whose only nonzero entry is a 1 at (0, 0)."""
+    return RatMatrix(rows, cols, tuple(Fraction(int(i == 0)) for i in range(rows * cols)))
+
+
+def _bumped(m: RuthMorphism, table: str, key: str, bump: RatMatrix) -> RuthMorphism:
+    moved = dict(getattr(m, table))
+    moved[key] = moved[key] + bump
+    return replace(m, **{table: moved})
+
+
+def _as_documents(m: RuthMorphism) -> tuple[list, list]:
+    """The violations of m written as a ruth document and as its lax
+    conversion, each verified in its own style."""
+    text = dump_document("morphism", encode_ruth_morphism(m))
+    lax_text = dump_document("morphism", encode_lax_morphism(m))
+    ruth = verify_morphism(decode_ruth_morphism(load_document(text)[1]))
+    lax = verify_morphism(decode_lax_morphism(load_document(lax_text)[1]), "lax")
+    return ruth, lax
+
+
+def _ruth_reading(g, violations) -> list:
+    """(law, site) in ruth names: a transformation unit at x is the unit
+    law at the unit arrow of x, a transformation prism a morphism pair."""
+    out = []
+    for v in violations:
+        if v.law == "transformation unit":
+            out.append(("unit", (g.unit(v.where[0]),)))
+        else:
+            out.append(({"transformation prism": "morphism pair"}.get(v.law, v.law), v.where))
+    return out
+
+
+def test_one_defect_gives_the_same_sites_in_both_morphism_styles():
+    g = pair_groupoid(["a", "b"])
+    a, u = "b|a", g.unit("a")
+    x, y = g.arrows[a]
+    for seed in range(100):
+        rng = random.Random(seed)
+        m = rand_ruth_morphism(rng, rand_ruth(rng, g, style="sheared"))
+        f, mu = m.src.fibers[x], m.mu[a]
+        kernel = homotopy_kernel_basis(f, m.dst.fibers[y])
+        if not kernel.cols or not mu.rows or not m.mu[u].rows * m.mu[u].cols:
+            continue
+        defects = {
+            # a component that is no chain map
+            ("chain condition", "chain condition"): _bumped(
+                m, "theta0", x, _corner(m.dst.fibers[x].dim0, f.dim0)
+            ),
+            # a naturality cell off its homotopy class
+            ("morphism homotopy", "morphism homotopy"): _bumped(
+                m, "mu", a, _corner(mu.rows, mu.cols)
+            ),
+            # a naturality cell moved inside its homotopy class
+            ("morphism pair", "transformation prism"): _bumped(
+                m, "mu", a, RatMatrix(mu.rows, mu.cols, (kernel @ _corner(kernel.cols, 1)).entries)
+            ),
+            # a nonzero cell at a unit
+            ("unit", "transformation unit"): _bumped(
+                m, "mu", u, _corner(m.mu[u].rows, m.mu[u].cols)
+            ),
+        }
+        if all(
+            law in {v.law for v in verify_morphism(bad)} for (law, _), bad in defects.items()
+        ):
+            break
+    else:
+        pytest.fail("no seed breaks every law")
+    assert _as_documents(m) == ([], [])
+    for (ruth_law, lax_law), bad in defects.items():
+        ruth, lax = _as_documents(bad)
+        assert ruth_law in {v.law for v in ruth} and lax_law in {v.law for v in lax}
+        assert _ruth_reading(g, lax) == [(v.law, v.where) for v in ruth]
