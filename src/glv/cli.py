@@ -318,8 +318,10 @@ def nerve(path, level):
         for lv, simplices in enumerate(nerve_levels(TableHandle(c), level)):
             click.echo(f"level {lv}: {len(simplices)} simplices")
     except NoFillerError as e:
-        # from level 3 on, enumeration inverts the triangles' 2-cells
-        _structural(str(e))
+        # from level 3 on, enumeration inverts the triangles' 2-cells; the
+        # error carries the inverse law failing at the cell
+        (cell,) = e.args[0].where
+        _structural(f"2-cell {cell} is not invertible")
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from operator import ne
 from typing import Iterator, Mapping, Sequence
 
@@ -33,7 +34,8 @@ from .twocat import Fin2Cat, Fin2Groupoid, find_quasi_inverse
 
 
 class NoFillerError(Exception):
-    """The horn admits no filler over this handle."""
+    """The horn admits no filler over this handle.  When a law of the handle
+    stops the filling, the one argument is its Violation."""
 
 
 class IncompatibleBoundaryError(Exception):
@@ -45,6 +47,12 @@ class TableHandle:
 
     def __init__(self, cat: Fin2Cat):
         self.cat = cat
+        self._arrows_from: dict = {}
+        for f, (x, _) in cat.arrows.items():
+            self._arrows_from.setdefault(x, []).append(f)
+        self._cells_into: dict = {}
+        for r, (_, g) in cat.cells.items():
+            self._cells_into.setdefault(g, []).append(r)
 
     def id_arrow(self, x):
         return self.cat.unit_arrow[x]
@@ -89,12 +97,12 @@ class TableHandle:
                 and self.cat.vcompose(r, s) == self.cat.unit_cell[g]
             ):
                 return s
-        raise NoFillerError(f"2-cell {r} is not invertible")
+        raise NoFillerError(Violation("inverse law", (r,)))
 
     def quasi_inverse(self, f):
         got = find_quasi_inverse(self.cat, f)
         if got is None:
-            raise NoFillerError(str(Violation("quasi-inverse", (f,))))
+            raise NoFillerError(Violation("quasi-inverse", (f,)))
         return got
 
     # enumeration hooks
@@ -102,10 +110,10 @@ class TableHandle:
         return list(self.cat.objects)
 
     def arrows_from(self, x):
-        return [f for f, (s, _) in self.cat.arrows.items() if s == x]
+        return self._arrows_from.get(x, [])
 
     def cells_into(self, g):
-        return [r for r, (_, t) in self.cat.cells.items() if t == g]
+        return self._cells_into.get(g, [])
 
     def cells_between(self, f, g):
         return self.cat.cells_between(f, g)
@@ -156,7 +164,8 @@ class GLHandle:
 
 
 def _freeze(mapping: Mapping) -> tuple:
-    return tuple(sorted(mapping.items(), key=lambda kv: kv[0]))
+    # the keys are distinct, so items compare by key alone
+    return tuple(sorted(mapping.items()))
 
 
 @dataclass(frozen=True)
@@ -494,7 +503,8 @@ def strip_to_stage(s: SimplexLabel, k: int) -> FiltrationStage:
 def stage_to_simplex(stage: FiltrationStage) -> SimplexLabel:
     if stage.k != 0:
         raise ValueError("only the last stage carries a full simplex")
-    return make_simplex(stage.vertices, stage.edge_map(), stage.triangle_map())
+    # F_0 carries every label, sorted
+    return SimplexLabel(stage.vertices, stage.edges, stage.triangles)
 
 
 def reconstruct_stage(handle, stage: FiltrationStage, alpha) -> FiltrationStage:
@@ -534,7 +544,16 @@ def reconstruct_stage(handle, stage: FiltrationStage, alpha) -> FiltrationStage:
             handle.whisker_left(edges[(n, l)], handle.invert_cell(tris[(l, k1, k)])),
             step,
         )
-    return FiltrationStage(n, k, stage.vertices, _freeze(edges), _freeze(tris))
+    # the labels of the face d_n sort first and stay; those at vertex n
+    # follow, listed in sorted order
+    return FiltrationStage(
+        n,
+        k,
+        stage.vertices,
+        stage.edges[: comb(n, 2)] + tuple(((n, l), edges[(n, l)]) for l in range(k, n)),
+        stage.triangles[: comb(n, 3)]
+        + tuple(((n, l, m), tris[(n, l, m)]) for l in range(k1, n) for m in range(k, l)),
+    )
 
 
 def initial_stage(handle, base: SimplexLabel, top_vertex, last_edge) -> FiltrationStage:
@@ -544,10 +563,13 @@ def initial_stage(handle, base: SimplexLabel, top_vertex, last_edge) -> Filtrati
         last_edge
     ) != top_vertex:
         raise ValueError("edge does not connect the base simplex to the top vertex")
-    edges = base.edge_map()
-    edges[(n, n - 1)] = last_edge
+    # (n, n-1) sorts after every edge of the base
     return FiltrationStage(
-        n, n - 1, base.vertices + (top_vertex,), _freeze(edges), base.triangles
+        n,
+        n - 1,
+        base.vertices + (top_vertex,),
+        base.edges + (((n, n - 1), last_edge),),
+        base.triangles,
     )
 
 

@@ -5,6 +5,11 @@ target tables, a composition table for arrows, horizontal and vertical
 composition tables for 2-cells (defined exactly on the composable pairs) and
 unit tables.  A Fin2Groupoid adds a vertical inversion table; quasi-inverses
 of arrows are found by search.
+
+The verifiers gate their stages: endpoints, units, totality of the tables,
+then the laws.  The law stage reads the tables directly, without the
+composability checks of compose/vcompose/hcompose, because the gate has
+already checked every pair it looks up.
 """
 
 from __future__ import annotations
@@ -58,9 +63,6 @@ class Fin2Cat:
 
     def cells_between(self, f: str, g: str) -> list[str]:
         return [r for r, (a, b) in self.cells.items() if a == f and b == g]
-
-    def cells_between_any(self, f: str) -> list[str]:
-        return [r for r, (a, _) in self.cells.items() if a == f]
 
     def arrows_between(self, x: str, y: str) -> list[str]:
         return [f for f, (a, b) in self.arrows.items() if a == x and b == y]
@@ -132,53 +134,76 @@ def _tables(c: Fin2Cat) -> Iterator[Violation]:
 
 
 def _2category_laws(c: Fin2Cat) -> Iterator[Violation]:
-    for g, f in c.composable_arrow_pairs():
-        gf = c.compose(g, f)
-        if c.compose(gf, c.unit_arrow[c.arrow_src(f)]) != gf:
+    """Every law instance, in a fixed order, read straight off the tables.
+
+    The gate runs this stage only after endpoints, units and totality have
+    passed, so each lookup below is of a composable pair and is present.
+    Composable partners come from indexes built here, each in table order;
+    they are not kept on c, whose tables may change after construction."""
+    arrows, cells = c.arrows, c.cells
+    comp1, vcomp, hcomp = c.comp1, c.vcomp, c.hcomp
+    unit_arrow, unit_cell = c.unit_arrow, c.unit_cell
+    arrows_into: dict[str, list[str]] = {x: [] for x in c.objects}
+    for f, (_, y) in arrows.items():
+        arrows_into[y].append(f)
+    cells_into: dict[str, list[str]] = {f: [] for f in arrows}  # r: _ => f
+    cells_out: dict[str, list[str]] = {f: [] for f in arrows}  # r: f => _
+    cells_over: dict[str, list[str]] = {x: [] for x in c.objects}  # r between arrows into x
+    cell_src_obj: dict[str, str] = {}
+    for r, (f, g) in cells.items():
+        cells_into[g].append(r)
+        cells_out[f].append(r)
+        x, y = arrows[f]
+        cells_over[y].append(r)
+        cell_src_obj[r] = x
+    arrow_pairs = [(g, f) for g, (y, _) in arrows.items() for f in arrows_into[y]]
+    cell_pairs = [(s, r) for s, (f, _) in cells.items() for r in cells_into[f]]
+
+    for g, f in arrow_pairs:
+        gf = comp1[(g, f)]
+        if comp1[(gf, unit_arrow[arrows[f][0]])] != gf:
             yield Violation("unit law", (gf,))
-    for f in c.arrows:
-        if (
-            c.compose(f, c.unit_arrow[c.arrow_src(f)]) != f
-            or c.compose(c.unit_arrow[c.arrow_tgt(f)], f) != f
-        ):
+    for f, (x, y) in arrows.items():
+        if comp1[(f, unit_arrow[x])] != f or comp1[(unit_arrow[y], f)] != f:
             yield Violation("unit law", (f,))
-    for h, g in c.composable_arrow_pairs():
-        for f in c.arrows:
-            if c.arrow_src(g) == c.arrow_tgt(f):
-                if c.compose(c.compose(h, g), f) != c.compose(h, c.compose(g, f)):
-                    yield Violation("associativity", (h, g, f))
-    for r in c.cells:
-        f, g = c.cells[r]
-        if c.vcompose(r, c.unit_cell[f]) != r or c.vcompose(c.unit_cell[g], r) != r:
+    for h, g in arrow_pairs:
+        hg = comp1[(h, g)]
+        for f in arrows_into[arrows[g][0]]:
+            if comp1[(hg, f)] != comp1[(h, comp1[(g, f)])]:
+                yield Violation("associativity", (h, g, f))
+    for r, (f, g) in cells.items():
+        if vcomp[(r, unit_cell[f])] != r or vcomp[(unit_cell[g], r)] != r:
             yield Violation("unit law", (r,), "vertical")
-    for t, s in c.vcomposable_cell_pairs():
-        for r in c.cells:
-            if c.cell_tgt(r) == c.cell_src(s):
-                if c.vcompose(c.vcompose(t, s), r) != c.vcompose(t, c.vcompose(s, r)):
-                    yield Violation("associativity", (t, s, r), "vertical")
-    for s, r in c.hcomposable_cell_pairs():
-        for q in c.cells:
-            if c.arrow_src(c.cell_src(r)) == c.arrow_tgt(c.cell_src(q)):
-                if c.hcompose(c.hcompose(s, r), q) != c.hcompose(s, c.hcompose(r, q)):
+    for t, s in cell_pairs:
+        ts = vcomp[(t, s)]
+        for r in cells_into[cells[s][0]]:
+            if vcomp[(ts, r)] != vcomp[(t, vcomp[(s, r)])]:
+                yield Violation("associativity", (t, s, r), "vertical")
+    for s in cells:
+        for r in cells_over[cell_src_obj[s]]:
+            sr = hcomp[(s, r)]
+            for q in cells_over[cell_src_obj[r]]:
+                if hcomp[(sr, q)] != hcomp[(s, hcomp[(r, q)])]:
                     yield Violation("associativity", (s, r, q), "horizontal")
-    for f in c.arrows:
-        u_src = c.unit_cell[c.unit_arrow[c.arrow_src(f)]]
-        u_tgt = c.unit_cell[c.unit_arrow[c.arrow_tgt(f)]]
-        for r in c.cells_between_any(f):
-            if c.hcompose(r, u_src) != r or c.hcompose(u_tgt, r) != r:
+    for f, (x, y) in arrows.items():
+        u_src = unit_cell[unit_arrow[x]]
+        u_tgt = unit_cell[unit_arrow[y]]
+        for r in cells_out[f]:
+            if hcomp[(r, u_src)] != r or hcomp[(u_tgt, r)] != r:
                 yield Violation("unit law", (r,), "horizontal")
     # identity cells are multiplicative for horizontal composition
-    for g, f in c.composable_arrow_pairs():
-        if c.hcompose(c.unit_cell[g], c.unit_cell[f]) != c.unit_cell[c.compose(g, f)]:
+    for g, f in arrow_pairs:
+        if hcomp[(unit_cell[g], unit_cell[f])] != unit_cell[comp1[(g, f)]]:
             yield Violation("unit law", (g, f), "horizontal composite of identity cells")
-    # interchange
-    for sp, s in c.vcomposable_cell_pairs():
-        for rp, r in c.vcomposable_cell_pairs():
-            if c.arrow_src(c.cell_src(s)) == c.arrow_tgt(c.cell_src(r)):
-                lhs = c.hcompose(c.vcompose(sp, s), c.vcompose(rp, r))
-                rhs = c.vcompose(c.hcompose(sp, rp), c.hcompose(s, r))
-                if lhs != rhs:
-                    yield Violation("interchange", (sp, s, rp, r))
+    # interchange: (s', s) and (r', r) vertical pairs with s after r horizontally
+    cell_pairs_over: dict[str, list[tuple]] = {x: [] for x in c.objects}
+    for rp, r in cell_pairs:
+        cell_pairs_over[arrows[cells[r][0]][1]].append((rp, r, vcomp[(rp, r)]))
+    for sp, s in cell_pairs:
+        sps = vcomp[(sp, s)]
+        for rp, r, rpr in cell_pairs_over[cell_src_obj[s]]:
+            if hcomp[(sps, rpr)] != vcomp[(hcomp[(sp, rp)], hcomp[(s, r)])]:
+                yield Violation("interchange", (sp, s, rp, r))
 
 
 def find_quasi_inverse(c: Fin2Cat, f: str) -> tuple[str, str, str] | None:

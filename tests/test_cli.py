@@ -273,10 +273,10 @@ def test_nerve_rejects_wrong_kind_and_broken_tables():
     assert result.exit_code == 2
 
 
-def test_nerve_reports_a_non_invertible_cell(tmp_path):
+def _idempotent_category():
     # one object, one arrow, cells i and an idempotent e under both compositions
     table = [["i", "i", "i"], ["i", "e", "e"], ["e", "i", "e"], ["e", "e", "e"]]
-    payload = {
+    return {
         "objects": ["*"],
         "arrows": {"1": ["*", "*"]},
         "cells": {"i": ["1", "1"], "e": ["1", "1"]},
@@ -286,8 +286,11 @@ def test_nerve_reports_a_non_invertible_cell(tmp_path):
         "unit_arrows": {"*": "1"},
         "unit_cells": {"1": "i"},
     }
+
+
+def test_nerve_reports_a_non_invertible_cell(tmp_path):
     path = tmp_path / "idempotent.json"
-    path.write_text(dump_document("two-category", payload))
+    path.write_text(dump_document("two-category", _idempotent_category()))
     assert run("verify", path).exit_code == 0
     assert run("nerve", path, "--level", "2").exit_code == 0
     result = run("nerve", path, "--level", "3")
@@ -298,6 +301,24 @@ def test_nerve_reports_a_non_invertible_cell(tmp_path):
         "level 2: 2 simplices",
         "error: 2-cell e is not invertible",
     ]
+
+
+def test_fill_names_the_cell_without_an_inverse(tmp_path):
+    # filling this (3,1)-horn inverts the whiskered triangle (2,1,0), which is e
+    horn = {
+        "handle": "table",
+        "missing": 1,
+        "vertices": ["*", "*", "*", "*"],
+        "edges": {f"{j},{i}": "1" for j in range(4) for i in range(j)},
+        "triangles": {"2,1,0": "e", "3,2,1": "e", "3,1,0": "e"},
+        "category": _idempotent_category(),
+    }
+    path = tmp_path / "horn_31.json"
+    path.write_text(dump_document("horn", horn))
+    assert run("verify", path).output == "ok: horn\n"
+    result = run("fill", path)
+    assert result.exit_code == 1
+    assert result.output == "no filler: inverse law fails at ('e',)\n"
 
 
 def _mutated(tmp_path, name, mutate):

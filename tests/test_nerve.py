@@ -241,7 +241,9 @@ def test_enumeration_counts_for_deloopings():
 )
 def test_enumerated_simplices_need_no_validation(source):
     # glv nerve validates nothing it enumerates: over a verified 2-category
-    # every simplex the filtration builds commutes, which this re-checks
+    # every simplex the filtration builds commutes, which this re-checks.
+    # Nor does enumeration pass labels through make_simplex: it keeps them
+    # sorted, and each simplex must equal the one make_simplex would build
     if isinstance(source, int):
         h = cyclic_handle(source)
     else:
@@ -253,6 +255,7 @@ def test_enumerated_simplices_need_no_validation(source):
         assert simplices and all(s.n == level for s in simplices)
         for s in simplices:
             assert validate_simplex(h, s) == []
+            assert s == make_simplex(s.vertices, s.edge_map(), s.triangle_map())
         assert enumerate_nerve(h, level) == simplices
 
 
