@@ -478,48 +478,44 @@ def _indices_from_key(key: str, length: int, where: str) -> tuple:
     return tuple(out)
 
 
-def _encode_simplex_tables(vertices, edges: Mapping, triangles: Mapping) -> dict:
-    first = next(iter(vertices), None)
+def encode_simplex(s: SimplexLabel, category: Fin2Cat | None = None) -> dict:
+    return _encode_labels(s, category, "simplex")
+
+
+def encode_horn(h: Horn, category: Fin2Cat | None = None) -> dict:
+    return _encode_labels(h, category, "horn")
+
+
+def _encode_labels(x: SimplexLabel | Horn, category: Fin2Cat | None, what: str) -> dict:
+    """The simplex or horn document of x; a horn also names its missing face."""
+    first = next(iter(x.vertices), None)
     if isinstance(first, GLObject):
-        return {
+        out = {
             "handle": "gl",
             "vertices": [
-                {"point": v.point, "fiber": fiber_to_json(v.fiber)} for v in vertices
+                {"point": v.point, "fiber": fiber_to_json(v.fiber)} for v in x.vertices
             ],
             "edges": {
                 _index_key(k): {
                     "a1": matrix_to_lists(f.a1),
                     "a0": matrix_to_lists(f.a0),
                 }
-                for k, f in edges.items()
+                for k, f in x.edges
             },
-            "triangles": {
-                _index_key(k): matrix_to_lists(c.r) for k, c in triangles.items()
-            },
+            "triangles": {_index_key(k): matrix_to_lists(c.r) for k, c in x.triangles},
         }
-    return {
-        "handle": "table",
-        "vertices": list(vertices),
-        "edges": {_index_key(k): f for k, f in edges.items()},
-        "triangles": {_index_key(k): c for k, c in triangles.items()},
-    }
-
-
-def encode_simplex(s: SimplexLabel, category: Fin2Cat | None = None) -> dict:
-    out = _encode_simplex_tables(s.vertices, dict(s.edges), dict(s.triangles))
+    else:
+        out = {
+            "handle": "table",
+            "vertices": list(x.vertices),
+            "edges": {_index_key(k): f for k, f in x.edges},
+            "triangles": {_index_key(k): c for k, c in x.triangles},
+        }
+    if what == "horn":
+        out["missing"] = x.k
     if out["handle"] == "table":
         if category is None:
-            raise ValueError("a table simplex needs its two-category to serialize")
-        out["category"] = encode_two_category(category)
-    return out
-
-
-def encode_horn(h: Horn, category: Fin2Cat | None = None) -> dict:
-    out = _encode_simplex_tables(h.vertices, dict(h.edges), dict(h.triangles))
-    out["missing"] = h.k
-    if out["handle"] == "table":
-        if category is None:
-            raise ValueError("a table horn needs its two-category to serialize")
+            raise ValueError(f"a table {what} needs its two-category to serialize")
         out["category"] = encode_two_category(category)
     return out
 
@@ -594,44 +590,34 @@ def _decode_table_tables(d: dict, where: str):
     return vertices, edges, triangles, cat
 
 
-def _decode_tables(d: dict, where: str):
-    handle = _as_str(d["handle"], f"{where}.handle")
-    if handle == "gl":
-        return ("gl",) + _decode_gl_tables(d, where)
-    if handle == "table":
-        return ("table",) + _decode_table_tables(d, where)
-    raise DocumentError(f"{where}.handle: expected 'gl' or 'table', found {handle!r}")
-
-
 def decode_simplex(obj, where: str = "payload"):
     """Returns (handle kind, SimplexLabel, category or None)."""
-    d = _fields(
-        obj, where, ("handle", "vertices", "edges", "triangles"), optional=("category",)
-    )
-    kind, vertices, edges, triangles, cat = _decode_tables(d, where)
-    if kind == "gl" and "category" in d:
-        raise DocumentError(f"{where}: a gl document does not carry a category")
-    try:
-        return kind, make_simplex(vertices, edges, triangles), cat
-    except ValueError as e:
-        raise DocumentError(f"{where}: {e}") from e
+    return _decode_labels(obj, where, "simplex")
 
 
 def decode_horn(obj, where: str = "payload"):
     """Returns (handle kind, Horn, category or None)."""
-    d = _fields(
-        obj,
-        where,
-        ("handle", "missing", "vertices", "edges", "triangles"),
-        optional=("category",),
-    )
-    k = _as_int(d["missing"], f"{where}.missing")
-    kind, vertices, edges, triangles, cat = _decode_tables(d, where)
-    if kind == "gl" and "category" in d:
-        raise DocumentError(f"{where}: a gl document does not carry a category")
-    n = len(vertices) - 1
+    return _decode_labels(obj, where, "horn")
+
+
+def _decode_labels(obj, where: str, what: str):
+    head = ("handle", "missing") if what == "horn" else ("handle",)
+    d = _fields(obj, where, head + ("vertices", "edges", "triangles"), optional=("category",))
+    if what == "horn":
+        k = _as_int(d["missing"], f"{where}.missing")
+    handle = _as_str(d["handle"], f"{where}.handle")
+    if handle == "gl":
+        vertices, edges, triangles, cat = _decode_gl_tables(d, where)
+        if "category" in d:
+            raise DocumentError(f"{where}: a gl document does not carry a category")
+    elif handle == "table":
+        vertices, edges, triangles, cat = _decode_table_tables(d, where)
+    else:
+        raise DocumentError(f"{where}.handle: expected 'gl' or 'table', found {handle!r}")
     try:
-        return kind, make_horn(n, k, vertices, edges, triangles), cat
+        if what == "horn":
+            return handle, make_horn(len(vertices) - 1, k, vertices, edges, triangles), cat
+        return handle, make_simplex(vertices, edges, triangles), cat
     except ValueError as e:
         raise DocumentError(f"{where}: {e}") from e
 

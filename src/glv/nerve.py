@@ -12,6 +12,7 @@ A labelling is a simplex when every tetrahedron (l, k, j, i) commutes:
 
 where o whiskers and * composes vertically.  Nothing is stored above
 dimension 2; validity of the tetrahedra makes the nerve 3-coskeletal.
+Horn filling and the sampler solve it for one face with solve_tetrahedron.
 
 Weak index lookups fill in degeneracies: u_{i,i} is the identity arrow of
 u_i, and triangles with repeated indices are identity 2-cells.
@@ -223,6 +224,36 @@ def _tetrahedron_sides(handle, edges: Mapping, tris: Mapping, quad):
     return lhs, rhs
 
 
+def solve_tetrahedron(handle, edges: Mapping, tris: Mapping, quad, omit):
+    """The face of quad = (l, k, j, i) opposite vertex omit that closes the
+    tetrahedron front * u_{l,k,i} = back * u_{l,j,i}, where front is
+    u_{l,k} o u_{k,j,i} and back is u_{l,k,j} o u_{j,i}.
+
+    Opposite j or k it inverts a whiskered triangle; opposite l or i it also
+    unwhiskers through a quasi-inverse of u_{l,k} or u_{j,i}, which raises
+    NoFillerError over a handle where that edge has none.
+    """
+    l, k, j, i = quad
+    v, inv = handle.vcompose, handle.invert_cell
+    wl, wr = handle.whisker_left, handle.whisker_right
+    front = lambda: wl(edges[(l, k)], tris[(k, j, i)])
+    back = lambda: wr(tris[(l, k, j)], edges[(j, i)])
+    if omit == j:  # u_{l,k,i}
+        return v(v(inv(front()), back()), tris[(l, j, i)])
+    if omit == k:  # u_{l,j,i}
+        return v(v(inv(back()), front()), tris[(l, k, i)])
+    if omit == l:  # u_{k,j,i}, unwhiskered from front = u_{l,k} o u_{k,j,i}
+        w = v(v(back(), tris[(l, j, i)]), inv(tris[(l, k, i)]))
+        d = handle.compose(edges[(k, j)], edges[(j, i)])
+        q, eta, _ = handle.quasi_inverse(edges[(l, k)])
+        return v(v(inv(wr(eta, d)), wl(q, w)), wr(eta, edges[(k, i)]))
+    # omit == i: u_{l,k,j}, unwhiskered from back = u_{l,k,j} o u_{j,i}
+    w = v(v(front(), tris[(l, k, i)]), inv(tris[(l, j, i)]))
+    b = handle.compose(edges[(l, k)], edges[(k, j)])
+    q, _, eps = handle.quasi_inverse(edges[(j, i)])
+    return v(v(wl(b, inv(eps)), wr(w, q)), wl(edges[(l, j)], eps))
+
+
 def tetrahedron_holds(handle, s: SimplexLabel, quad) -> bool:
     lhs, rhs = _tetrahedron_sides(handle, s.edge_map(), s.triangle_map(), quad)
     return lhs == rhs
@@ -309,57 +340,48 @@ class Horn:
         return dict(self.triangles)
 
 
-def _horn_shape(n: int, k: int) -> tuple[set, set]:
-    """Index sets (edges, triangles) carried by Lambda^n_k."""
-    edges = set()
-    tris = set()
-    for omit in range(n + 1):
-        if omit == k:
-            continue
-        verts = [t for t in range(n + 1) if t != omit]
-        edges.update({(b, a) for b in verts for a in verts if a < b})
-        tris.update(
-            {(c, b, a) for c in verts for b in verts for a in verts if a < b < c}
-        )
-    return edges, tris
+def _in_horn(n: int, k: int, label: tuple) -> bool:
+    """Lambda^n_k carries a label (edge, triangle or tetrahedron) exactly when
+    some vertex other than k is missing from it."""
+    return len({k, *label}) <= n
 
 
 def make_horn(n: int, k: int, vertices: Sequence, edges: Mapping, triangles: Mapping) -> Horn:
     if not 0 <= k <= n:
         raise ValueError("horn index out of range")
-    want_edges, want_tris = _horn_shape(n, k)
-    if set(edges) != want_edges:
+
+    def want(size: int) -> set:
+        return {a for a in combinations(range(n, -1, -1), size) if _in_horn(n, k, a)}
+
+    if set(edges) != want(2):
         raise ValueError("edge labels do not cover the horn")
-    if set(triangles) != want_tris:
+    if set(triangles) != want(3):
         raise ValueError("triangle labels do not cover the horn")
     return Horn(k, tuple(vertices), _freeze(edges), _freeze(triangles))
 
 
 def horn_of(s: SimplexLabel, k: int) -> Horn:
     """Forget the k-th face of a simplex."""
-    want_edges, want_tris = _horn_shape(s.n, k)
-    edges = {e: v for e, v in s.edge_map().items() if e in want_edges}
-    tris = {t: v for t, v in s.triangle_map().items() if t in want_tris}
-    return Horn(k, s.vertices, _freeze(edges), _freeze(tris))
+
+    def present(label) -> bool:
+        return _in_horn(s.n, k, label[0])
+
+    return Horn(k, s.vertices, tuple(filter(present, s.edges)), tuple(filter(present, s.triangles)))
 
 
 def validate_horn(handle, h: Horn) -> list[Violation]:
-    # only the tetrahedra lying in a present face are part of the horn
-    quads = (
-        q
-        for q in combinations(range(h.n, -1, -1), 4)
-        if set(range(h.n + 1)) - set(q) - {h.k}
-    )
+    quads = (q for q in combinations(range(h.n, -1, -1), 4) if _in_horn(h.n, h.k, q))
     return _validate_labels(handle, h.vertices, h.edge_map(), h.triangle_map(), quads)
 
 
 def fill_horn(handle, h: Horn) -> SimplexLabel:
     """A simplex restricting to the horn on its present faces.
 
-    For inner horns this is 2-cell algebra; outer horns use quasi-inverses
-    and can raise NoFillerError over handles whose arrows are not invertible
-    up to homotopy.  For n >= 4 the horn already carries the full 2-skeleton
-    and filling is assembly plus validation.
+    For n = 3 the missing face comes from solve_tetrahedron.  Inner horns
+    need only 2-cell algebra; outer horns use quasi-inverses and can raise
+    NoFillerError over handles whose arrows are not invertible up to
+    homotopy.  For n >= 4 the horn already carries the full 2-skeleton and
+    filling is assembly plus validation.
     """
     bad = validate_horn(handle, h)
     if bad:
@@ -388,40 +410,11 @@ def fill_horn(handle, h: Horn) -> SimplexLabel:
             cell = handle.whisker_right(eps, gamma)
             edges[(1, 0)] = alpha
         tris[(2, 1, 0)] = cell
-        filled = make_simplex(h.vertices, edges, tris)
     elif n == 3:
-        tris = dict(tris)
-        v = handle.vcompose
-        inv = handle.invert_cell
-        wl = handle.whisker_left
-        wr = handle.whisker_right
-        if k == 1:
-            tris[(3, 2, 0)] = v(
-                v(inv(wl(edges[(3, 2)], tris[(2, 1, 0)])), wr(tris[(3, 2, 1)], edges[(1, 0)])),
-                tris[(3, 1, 0)],
-            )
-        elif k == 2:
-            tris[(3, 1, 0)] = v(
-                v(inv(wr(tris[(3, 2, 1)], edges[(1, 0)])), wl(edges[(3, 2)], tris[(2, 1, 0)])),
-                tris[(3, 2, 0)],
-            )
-        elif k == 3:
-            w = v(v(wr(tris[(3, 2, 1)], edges[(1, 0)]), tris[(3, 1, 0)]), inv(tris[(3, 2, 0)]))
-            g = edges[(3, 2)]
-            c = edges[(2, 0)]
-            d = handle.compose(edges[(2, 1)], edges[(1, 0)])
-            q, eta, _ = handle.quasi_inverse(g)
-            tris[(2, 1, 0)] = v(v(inv(wr(eta, d)), wl(q, w)), wr(eta, c))
-        else:  # k == 0
-            w = v(v(wl(edges[(3, 2)], tris[(2, 1, 0)]), tris[(3, 2, 0)]), inv(tris[(3, 1, 0)]))
-            f = edges[(1, 0)]
-            a = edges[(3, 1)]
-            b = handle.compose(edges[(3, 2)], edges[(2, 1)])
-            q, _, eps = handle.quasi_inverse(f)
-            tris[(3, 2, 1)] = v(v(wl(b, inv(eps)), wr(w, q)), wl(a, eps))
-        filled = make_simplex(h.vertices, edges, tris)
-    else:
-        filled = make_simplex(h.vertices, edges, tris)
+        quad = (3, 2, 1, 0)
+        absent = tuple(t for t in quad if t != k)
+        tris[absent] = solve_tetrahedron(handle, edges, tris, quad, k)
+    filled = make_simplex(h.vertices, edges, tris)
     bad = validate_simplex(handle, filled)
     if bad:
         raise NoFillerError(f"no filler exists: {bad[0]}")

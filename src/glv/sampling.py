@@ -26,7 +26,7 @@ from .chain2 import (
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
 from .groupoid import FinGroupoid
 from .linalg import RatMatrix, basis_completion, hstack, left_inverse, rank, solve, unvec
-from .nerve import GLHandle, SimplexLabel, TableHandle, make_simplex
+from .nerve import GLHandle, SimplexLabel, TableHandle, make_simplex, solve_tetrahedron
 from .ruth import Ruth2, RuthMorphism, compose_morphisms, double_rep
 
 
@@ -171,33 +171,11 @@ def rand_interchange_square(rng: random.Random, max_extra: int = 2):
     return (r2, r1), (s2, s1)
 
 
-def _solve_outer_triangle(handle, edges, tris, l, k, j, i):
-    """The (l, k, i) label forced by the tetrahedron (l, k, j, i)."""
-    return handle.vcompose(
-        handle.vcompose(
-            handle.invert_cell(handle.whisker_left(edges[(l, k)], tris[(k, j, i)])),
-            handle.whisker_right(tris[(l, k, j)], edges[(j, i)]),
-        ),
-        tris[(l, j, i)],
-    )
-
-
-def _solve_inner_triangle(handle, edges, tris, l, k, j, i):
-    """The (l, j, i) label forced by the tetrahedron (l, k, j, i)."""
-    return handle.vcompose(
-        handle.vcompose(
-            handle.invert_cell(handle.whisker_right(tris[(l, k, j)], edges[(j, i)])),
-            handle.whisker_left(edges[(l, k)], tris[(k, j, i)]),
-        ),
-        tris[(l, k, i)],
-    )
-
-
 def complete_to_simplex(handle, vertices, edges, pick_cell) -> SimplexLabel:
     """Extend full edge data to a simplex, choosing the free triangles.
 
     pick_cell(f, g) supplies a 2-cell f => g for the triangles that are not
-    forced; the remaining labels are solved from tetrahedron equations.
+    forced; the remaining labels come from nerve.solve_tetrahedron.
     Supports dimensions up to 4.  The solved labels satisfy every equation
     used to produce them; for dimension 4 the one remaining equation
     (4, 3, 2, 0) holds automatically, which callers are free to re-check.
@@ -215,14 +193,14 @@ def complete_to_simplex(handle, vertices, edges, pick_cell) -> SimplexLabel:
     if n >= 3:
         tris[(3, 2, 1)] = pick_cell(edges[(3, 1)], composite(3, 2, 1))
         tris[(3, 2, 0)] = pick_cell(edges[(3, 0)], composite(3, 2, 0))
-        tris[(3, 1, 0)] = _solve_inner_triangle(handle, edges, tris, 3, 2, 1, 0)
+        tris[(3, 1, 0)] = solve_tetrahedron(handle, edges, tris, (3, 2, 1, 0), 2)
     if n >= 4:
         tris[(4, 2, 1)] = pick_cell(edges[(4, 1)], composite(4, 2, 1))
         tris[(4, 1, 0)] = pick_cell(edges[(4, 0)], composite(4, 1, 0))
         tris[(4, 3, 2)] = pick_cell(edges[(4, 2)], composite(4, 3, 2))
-        tris[(4, 2, 0)] = _solve_outer_triangle(handle, edges, tris, 4, 2, 1, 0)
-        tris[(4, 3, 1)] = _solve_outer_triangle(handle, edges, tris, 4, 3, 2, 1)
-        tris[(4, 3, 0)] = _solve_outer_triangle(handle, edges, tris, 4, 3, 1, 0)
+        tris[(4, 2, 0)] = solve_tetrahedron(handle, edges, tris, (4, 2, 1, 0), 1)
+        tris[(4, 3, 1)] = solve_tetrahedron(handle, edges, tris, (4, 3, 2, 1), 2)
+        tris[(4, 3, 0)] = solve_tetrahedron(handle, edges, tris, (4, 3, 1, 0), 1)
     return make_simplex(vertices, edges, tris)
 
 

@@ -1,10 +1,13 @@
 """Simplices, horn filling, coskeletal extension, and the edge filtration."""
 
 import random
+from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import glv.nerve as nerve
 from glv.documents import decode_two_category, load_document
 from glv.groupoid import pair_groupoid
 from glv.nerve import (
@@ -24,6 +27,7 @@ from glv.nerve import (
     make_simplex,
     nerve_levels,
     reconstruct_stage,
+    solve_tetrahedron,
     stage_to_simplex,
     strip_to_stage,
     tetrahedron_holds,
@@ -204,6 +208,91 @@ def test_fill_rejects_invalid_horn():
     assert any(v.law == "tetrahedron" for v in validate_horn(h, bad))
     with pytest.raises(NoFillerError):
         fill_horn(h, bad)
+
+
+def _solver_cases():
+    z5 = cyclic_handle(5)
+    pair3 = TableHandle(from_groupoid(pair_groupoid(["a", "b", "c"])))
+    for seed in range(10):
+        for n in (3, 4):
+            yield GL, sample_gl_simplex(random.Random(seed), n)
+            yield z5, sample_table_simplex(z5, random.Random(seed), n)
+            yield pair3, sample_table_simplex(pair3, random.Random(seed), n)
+
+
+def test_solve_tetrahedron_recovers_each_face():
+    # opposite j or k the face is forced, so the solver returns the
+    # simplex's own label; opposite l or i it goes through a quasi-inverse
+    # and need only return a face that closes the tetrahedron
+    for handle, s in _solver_cases():
+        edges, tris = s.edge_map(), s.triangle_map()
+        for quad in combinations(range(s.n, -1, -1), 4):
+            l, k, j, i = quad
+            for omit in quad:
+                absent = tuple(t for t in quad if t != omit)
+                rest = {t: r for t, r in tris.items() if t != absent}
+                got = solve_tetrahedron(handle, edges, rest, quad, omit)
+                if omit in (j, k):
+                    assert got == tris[absent]
+                    continue
+                c, b, a = absent
+                assert handle.cell_src(got) == edges[(c, a)]
+                assert handle.cell_tgt(got) == handle.compose(edges[(c, b)], edges[(b, a)])
+                closed = make_simplex(s.vertices, edges, {**rest, absent: got})
+                assert tetrahedron_holds(handle, closed, quad)
+
+
+def _reference_horn(n: int, k: int) -> tuple[set, set, set]:
+    """Lambda^n_k as the union of the faces other than the k-th: its edges,
+    triangles and tetrahedra, each listed with decreasing indices."""
+    edges, tris, quads = set(), set(), set()
+    for omit in range(n + 1):
+        if omit == k:
+            continue
+        verts = [t for t in range(n, -1, -1) if t != omit]
+        edges.update(combinations(verts, 2))
+        tris.update(combinations(verts, 3))
+        quads.update(combinations(verts, 4))
+    return edges, tris, quads
+
+
+# labels every edge and triangle by its own indices, so that every endpoint
+# check passes
+INDEX_HANDLE = SimpleNamespace(
+    arrow_src=lambda f: f[1],
+    arrow_tgt=lambda f: f[0],
+    cell_src=lambda r: (r[0], r[2]),
+    cell_tgt=lambda r: r,
+    compose=lambda g, f: (*g, f[1]),
+)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_horn_shape_is_the_union_of_the_other_faces(n, monkeypatch):
+    checked = []
+    monkeypatch.setattr(
+        nerve, "_tetrahedron_sides", lambda h, e, t, quad: checked.append(quad) or (0, 0)
+    )
+    verts = tuple(range(n + 1))
+    all_edges = set(combinations(range(n, -1, -1), 2))
+    all_tris = set(combinations(range(n, -1, -1), 3))
+    s = make_simplex(verts, {e: e for e in all_edges}, {t: t for t in all_tris})
+    for k in range(n + 1):
+        edges, tris, quads = _reference_horn(n, k)
+        horn = horn_of(s, k)
+        assert set(horn.edge_map()) == edges
+        assert set(horn.triangle_map()) == tris
+        assert make_horn(n, k, verts, horn.edge_map(), horn.triangle_map()) == horn
+        # make_horn requires exactly the reference labels
+        for label in all_edges:
+            with pytest.raises(ValueError):
+                make_horn(n, k, verts, {e: e for e in edges ^ {label}}, horn.triangle_map())
+        for label in all_tris:
+            with pytest.raises(ValueError):
+                make_horn(n, k, verts, horn.edge_map(), {t: t for t in tris ^ {label}})
+        checked.clear()
+        assert validate_horn(INDEX_HANDLE, horn) == []
+        assert sorted(checked) == sorted(quads)
 
 
 def test_coskeletal_extension_round_trip():
