@@ -202,11 +202,12 @@ def cone(m: ChainMap2) -> tuple[RatMatrix, RatMatrix]:
 
 def cone_is_exact(m: ChainMap2) -> bool:
     d2, d1 = cone(m)
-    middle = m.dst.dim1 + m.src.dim0
+    # with rank(d2) == dim V1 and rank(d1) == dim V0', exactness in the
+    # middle is that these two dimensions sum to the middle one
     return (
-        rank(d2) == m.src.dim1
+        m.src.dim1 + m.dst.dim0 == m.dst.dim1 + m.src.dim0
+        and rank(d2) == m.src.dim1
         and rank(d1) == m.dst.dim0
-        and rank(d2) + rank(d1) == middle
     )
 
 

@@ -56,13 +56,14 @@ def verify_lax_functor(fun: LaxFunctor, target) -> list[Violation]:
             (c.cells, fun.cell_map, "2-cell has no image"),
             (c.composable_arrow_pairs(), fun.comp_cell, "no comparison cell"),
         ),
-        _functor_endpoints(fun, target),
+        _image_endpoints(fun, target),
+        _comparison_endpoints(fun, target),
         _normality(fun, target),
         _functor_laws(fun, target),
     )
 
 
-def _functor_endpoints(fun: LaxFunctor, target) -> Iterator[Violation]:
+def _image_endpoints(fun: LaxFunctor, target) -> Iterator[Violation]:
     c = fun.source
     for f, (x, y) in c.arrows.items():
         ff = fun.arrow_map[f]
@@ -72,6 +73,11 @@ def _functor_endpoints(fun: LaxFunctor, target) -> Iterator[Violation]:
         rr = fun.cell_map[r]
         if target.cell_src(rr) != fun.arrow_map[f] or target.cell_tgt(rr) != fun.arrow_map[g]:
             yield Violation("endpoint", (r,), "2-cell image endpoints")
+
+
+def _comparison_endpoints(fun: LaxFunctor, target) -> Iterator[Violation]:
+    # arrow images compose here: the stage before has checked their endpoints
+    c = fun.source
     for (g, f), cc in fun.comp_cell.items():
         want_src = fun.arrow_map[c.comp1[(g, f)]]
         want_tgt = target.compose(fun.arrow_map[g], fun.arrow_map[f])

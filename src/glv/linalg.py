@@ -11,8 +11,10 @@ The kernel computes on integers only.  Sums, products, stacks and Kronecker
 products combine numerators and reduce by one gcd.  Elimination is
 fraction-free: a row update is ``p * row - f * pivot_row`` followed by a
 division by the row's gcd, and pivots are divided out once, when a result is
-built.  ``RatMatrix(rows, cols, entries)`` is the checked public constructor;
-every derived matrix is built by ``_canon``.
+built.  ``rank``, ``rref``, ``solve``, ``kernel_basis`` and
+``basis_completion`` all read the one elimination, ``_reduce``.
+``RatMatrix(rows, cols, entries)`` is the checked public constructor; every
+derived matrix is built by ``_canon``.
 
 Zero-row and zero-column matrices are legal and stand for maps in or out of
 the zero space.  Every routine is deterministic: pivots are chosen left to
@@ -119,7 +121,8 @@ class RatMatrix:
         return Fraction(self.nums[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        c, den = self.cols, self.den
+        return tuple([Fraction(x, den) for x in self.nums[i * c : (i + 1) * c]])
 
     def col(self, j: int) -> tuple[Fraction, ...]:
         return tuple([self.entry(i, j) for i in range(self.rows)])
@@ -299,28 +302,8 @@ def rref(m: RatMatrix) -> tuple[RatMatrix, tuple[int, ...]]:
 
 
 def rank(m: RatMatrix) -> int:
-    """Fraction-free: Bareiss elimination on the numerators divides every
-    update exactly by the previous pivot, which keeps the integers at the
-    size of minors of m."""
-    a = [row for row in _int_rows(m) if any(row)]
-    k = m.cols
-    r, prev = 0, 1
-    for c in range(k):
-        if r == len(a):
-            break
-        pivot_row = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        p = a[r][c]
-        tail = a[r][c + 1 :]
-        for i in range(r + 1, len(a)):
-            row = a[i]
-            f = row[c]
-            row[c + 1 :] = [(p * x - f * y) // prev for x, y in zip(row[c + 1 :], tail)]
-        prev = p
-        r += 1
-    return r
+    """The number of pivot columns of m."""
+    return len(_reduce(_int_rows(m), m.cols))
 
 
 def kernel_basis(m: RatMatrix) -> RatMatrix:
@@ -384,17 +367,21 @@ def try_solve(m: RatMatrix, b: RatMatrix) -> RatMatrix | None:
 
 
 def left_inverse(m: RatMatrix) -> RatMatrix:
-    """L with L @ m = identity; requires m injective."""
-    if rank(m) != m.cols:
-        raise ValueError("matrix is not injective")
-    return solve(m.transpose(), RatMatrix.identity(m.cols)).transpose()
+    """L with L @ m = identity; requires m injective, which is when
+    m^T @ X = identity has a solution."""
+    try:
+        return solve(m.transpose(), RatMatrix.identity(m.cols)).transpose()
+    except NoSolutionError:
+        raise ValueError("matrix is not injective") from None
 
 
 def right_inverse(m: RatMatrix) -> RatMatrix:
-    """S with m @ S = identity; requires m surjective."""
-    if rank(m) != m.rows:
-        raise ValueError("matrix is not surjective")
-    return solve(m, RatMatrix.identity(m.rows))
+    """S with m @ S = identity; requires m surjective, which is when that
+    system has a solution."""
+    try:
+        return solve(m, RatMatrix.identity(m.rows))
+    except NoSolutionError:
+        raise ValueError("matrix is not surjective") from None
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:

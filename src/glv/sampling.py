@@ -103,12 +103,8 @@ def rand_quasi_iso(rng: random.Random, src: Fiber2, dst: Fiber2) -> ChainMap2:
         if is_quasi_iso(m):
             return m
     # guaranteed fallback: route through the minimal fiber, then perturb
-    via = ChainMap2(
-        src,
-        dst,
-        _inclusion_of_minimal(dst).a1 @ _projection_to_minimal(src).a1,
-        _inclusion_of_minimal(dst).a0 @ _projection_to_minimal(src).a0,
-    )
+    inc, proj = _inclusion_of_minimal(dst), _projection_to_minimal(src)
+    via = ChainMap2(src, dst, inc.a1 @ proj.a1, inc.a0 @ proj.a0)
     return perturb_chain_map(rng, via)
 
 
@@ -269,10 +265,6 @@ def rand_invertible(rng: random.Random, n: int, span: int = 3) -> RatMatrix:
             return m
 
 
-def _inv(m: RatMatrix) -> RatMatrix:
-    return left_inverse(m)
-
-
 def rand_strict_ruth(rng: random.Random, g: FinGroupoid, base: Fiber2) -> Ruth2:
     """A strictly multiplicative representation: conjugates of the identity.
 
@@ -280,12 +272,14 @@ def rand_strict_ruth(rng: random.Random, g: FinGroupoid, base: Fiber2) -> Ruth2:
     each arrow acts by the composite change; corrections vanish."""
     a1 = {x: rand_invertible(rng, base.dim1, 2) for x in g.objects}
     a0 = {x: rand_invertible(rng, base.dim0, 2) for x in g.objects}
-    fibers = {x: Fiber2(base.dim1, base.dim0, a0[x] @ base.d @ _inv(a1[x])) for x in g.objects}
+    fibers = {
+        x: Fiber2(base.dim1, base.dim0, a0[x] @ base.d @ left_inverse(a1[x])) for x in g.objects
+    }
     rho1 = {}
     rho0 = {}
     for f, (x, y) in g.arrows.items():
-        rho1[f] = a1[y] @ _inv(a1[x])
-        rho0[f] = a0[y] @ _inv(a0[x])
+        rho1[f] = a1[y] @ left_inverse(a1[x])
+        rho0[f] = a0[y] @ left_inverse(a0[x])
     gamma = {
         (h, a): RatMatrix.zeros(base.dim1, base.dim0) for h, a in g.composable_pairs()
     }
@@ -353,20 +347,20 @@ def rand_transport(rng: random.Random, r: Ruth2) -> tuple[Ruth2, RuthMorphism]:
         x: Fiber2(
             r.fibers[x].dim1,
             r.fibers[x].dim0,
-            b0[x] @ r.fibers[x].d @ _inv(b1[x]),
+            b0[x] @ r.fibers[x].d @ left_inverse(b1[x]),
         )
         for x in g.objects
     }
     rho1 = {}
     rho0 = {}
     for f, (x, y) in g.arrows.items():
-        rho1[f] = b1[y] @ r.rho1[f] @ _inv(b1[x])
-        rho0[f] = b0[y] @ r.rho0[f] @ _inv(b0[x])
+        rho1[f] = b1[y] @ r.rho1[f] @ left_inverse(b1[x])
+        rho0[f] = b0[y] @ r.rho0[f] @ left_inverse(b0[x])
     gamma = {}
     for h, a in g.composable_pairs():
         x = g.src(a)
         z = g.tgt(h)
-        gamma[(h, a)] = b1[z] @ r.gamma[(h, a)] @ _inv(b0[x])
+        gamma[(h, a)] = b1[z] @ r.gamma[(h, a)] @ left_inverse(b0[x])
     moved = Ruth2(g, fibers, rho1, rho0, gamma)
     fwd = RuthMorphism(
         r,

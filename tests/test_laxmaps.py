@@ -84,6 +84,22 @@ def test_strict_functor_doubling_cells():
     assert any(v.law == "vertical composition" for v in verify_lax_functor(fun, h))
 
 
+def test_wrong_arrow_image_is_reported_not_raised():
+    # b|a runs a -> b; its image p|p runs p -> p, not p -> q, so composing
+    # it with the image of a|b would fail: the endpoint stage must report
+    # it before any comparison cell is composed
+    src = from_groupoid(pair_groupoid(["a", "b"]))
+    h = TableHandle(from_groupoid(pair_groupoid(["p", "q"])))
+    rename = {"a": "p", "b": "q"}
+    arrows = {f: "|".join(rename[x] for x in f.split("|")) for f in src.arrows}
+    arrows["b|a"] = "p|p"
+    cells = {src.unit_cell[f]: h.id_cell(arrows[f]) for f in src.arrows}
+    fun = strict_functor(src, h, rename, arrows, cells)
+    assert [str(v) for v in verify_lax_functor(fun, h)] == [
+        "endpoint fails at ('b|a',): arrow image endpoints"
+    ]
+
+
 def test_simplicial_round_trip_tables():
     h, fun = carry_functor(3)
     data = lax_to_simplicial(fun, h, h)

@@ -274,8 +274,8 @@ def test_solve_postcondition(m, data):
 
 
 def test_rank_rescales_rows_that_are_zero_in_the_pivot_column():
-    # Bareiss's exact division needs every row below a pivot updated; row 2
-    # is zero in column 0 and must still be rescaled there.
+    # Row 2 is zero in column 0, so no update for that pivot touches it; it
+    # must still come out right once column 1 is reduced.
     m = RatMatrix.from_rows([[-1, 0, 0, "1/3"], ["-2/3", -1, 0, 0], [0, "1/3", 0, 0]])
     assert rank(m) == reference_rank(m) == 3
 

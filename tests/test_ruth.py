@@ -132,6 +132,28 @@ def test_round_trip_through_pseudofunctor(g):
         assert again == p
 
 
+@pytest.mark.parametrize("g", GROUPOIDS)
+def test_built_pseudofunctor_has_every_endpoint(g):
+    # verify_pseudofunctor checks no endpoint: ruth_to_pseudofunctor fixes them
+    for seed in range(4):
+        rng = random.Random(seed)
+        r = rand_ruth(rng, g)
+        pair = rng.choice(sorted(r.gamma))
+        ruths = [r, replace(r, gamma={k: c for k, c in r.gamma.items() if k != pair})]
+        got = perturb_correction(rng, r)
+        if got is not None:
+            ruths.append(got[0])
+        for r in ruths:
+            p = ruth_to_pseudofunctor(r)
+            assert p.at_obj.keys() == set(g.objects) and p.at_arrow.keys() == set(g.arrows)
+            for a, (x, y) in g.arrows.items():
+                assert (p.at_arrow[a].src, p.at_arrow[a].dst) == (p.at_obj[x], p.at_obj[y])
+            assert p.comp_cell.keys() == r.gamma.keys()
+            for (h, a), cell in p.comp_cell.items():
+                assert cell.source == p.at_arrow[g.compose(h, a)]
+                assert cell.target == glv.gl2.compose_arrows(p.at_arrow[h], p.at_arrow[a])
+
+
 def test_cocycle_and_coherence_break_together():
     g = pair_groupoid(["a", "b", "c"])
     found = 0
