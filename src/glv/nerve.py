@@ -260,27 +260,32 @@ def tetrahedron_holds(handle, s: SimplexLabel, quad) -> bool:
 
 
 def validate_simplex(handle, s: SimplexLabel) -> list[Violation]:
-    quads = combinations(range(s.n, -1, -1), 4)
-    return _validate_labels(handle, s.vertices, s.edge_map(), s.triangle_map(), quads)
+    return _validate_labels(handle, s, lambda face: True)
 
 
-def _validate_labels(handle, vertices, edges: Mapping, tris: Mapping, quads) -> list[Violation]:
-    """Edge and triangle endpoints, then the tetrahedra in quads."""
+def _validate_labels(handle, s, keep) -> list[Violation]:
+    """Edge endpoints, then triangle endpoints, then tetrahedra, at the faces
+    of s that keep accepts; each face reads only its own sub-faces."""
+    vertices, edges, tris = s.vertices, s.edge_map(), s.triangle_map()
+
+    def kept(labels: dict):
+        return (item for item in labels.items() if keep(item[0]))
+
     return gate(
         (
             Violation("endpoint", (j, i), "edge does not match its vertices")
-            for (j, i), f in edges.items()
+            for (j, i), f in kept(edges)
             if handle.arrow_src(f) != vertices[i] or handle.arrow_tgt(f) != vertices[j]
         ),
         (
             Violation("endpoint", (k, j, i), "triangle cell does not match its edges")
-            for (k, j, i), r in tris.items()
+            for (k, j, i), r in kept(tris)
             if handle.cell_src(r) != edges[(k, i)]
             or handle.cell_tgt(r) != handle.compose(edges[(k, j)], edges[(j, i)])
         ),
         (
             Violation("tetrahedron", quad)
-            for quad in quads
+            for quad in filter(keep, combinations(range(s.n, -1, -1), 4))
             if ne(*_tetrahedron_sides(handle, edges, tris, quad))
         ),
     )
@@ -370,8 +375,8 @@ def horn_of(s: SimplexLabel, k: int) -> Horn:
 
 
 def validate_horn(handle, h: Horn) -> list[Violation]:
-    quads = (q for q in combinations(range(h.n, -1, -1), 4) if _in_horn(h.n, h.k, q))
-    return _validate_labels(handle, h.vertices, h.edge_map(), h.triangle_map(), quads)
+    """The checks of validate_simplex at the faces the horn carries."""
+    return _validate_labels(handle, h, lambda face: _in_horn(h.n, h.k, face))
 
 
 def fill_horn(handle, h: Horn) -> SimplexLabel:
@@ -380,8 +385,8 @@ def fill_horn(handle, h: Horn) -> SimplexLabel:
     For n = 3 the missing face comes from solve_tetrahedron.  Inner horns
     need only 2-cell algebra; outer horns use quasi-inverses and can raise
     NoFillerError over handles whose arrows are not invertible up to
-    homotopy.  For n >= 4 the horn already carries the full 2-skeleton and
-    filling is assembly plus validation.
+    homotopy.  For n >= 4 the horn already carries the full 2-skeleton and filling
+    is assembly plus the tetrahedra of the missing face, one at n = 4 and none above.
     """
     bad = validate_horn(handle, h)
     if bad:
@@ -415,7 +420,7 @@ def fill_horn(handle, h: Horn) -> SimplexLabel:
         absent = tuple(t for t in quad if t != k)
         tris[absent] = solve_tetrahedron(handle, edges, tris, quad, k)
     filled = make_simplex(h.vertices, edges, tris)
-    bad = validate_simplex(handle, filled)
+    bad = _validate_labels(handle, filled, lambda face: not _in_horn(n, k, face))
     if bad:
         raise NoFillerError(f"no filler exists: {bad[0]}")
     return filled

@@ -85,7 +85,7 @@ def _chain_maps(sites, a1: dict, a0: dict, detail: str) -> Iterator[Violation]:
 def _composition(r: Ruth2) -> Iterator[Violation]:
     g = r.groupoid
     for h, a in g.composable_pairs():
-        ha = g.compose(h, a)
+        ha = g.comp[(h, a)]
         x = g.src(a)
         z = g.tgt(h)
         c = r.gamma[(h, a)]
@@ -119,8 +119,8 @@ def _cocycle_sites(r: Ruth2) -> Iterator[tuple]:
     comparison cells."""
     g = r.groupoid
     for k, h, a in g.composable_triples():
-        kh = g.compose(k, h)
-        ha = g.compose(h, a)
+        kh = g.comp[(k, h)]
+        ha = g.comp[(h, a)]
         lhs = r.rho1[k] @ r.gamma[(h, a)] + r.gamma[(k, ha)]
         rhs = r.gamma[(k, h)] @ r.rho0[a] + r.gamma[(kh, a)]
         if lhs != rhs:
@@ -300,7 +300,7 @@ def _pair_sites(m: RuthMorphism) -> Iterator[tuple]:
     for h, a in g.composable_pairs():
         x = g.src(a)
         z = g.tgt(h)
-        ha = g.compose(h, a)
+        ha = g.comp[(h, a)]
         lhs = (
             m.theta1[z] @ m.src.gamma[(h, a)]
             + m.mu[h] @ m.src.rho0[a]
@@ -413,7 +413,7 @@ def double_rep(g: FinGroupoid, rho: dict) -> Ruth2:
     rho0 = dict(rho)
     gamma = {}
     for h, a in g.composable_pairs():
-        gamma[(h, a)] = rho[g.compose(h, a)] - rho[h] @ rho[a]
+        gamma[(h, a)] = rho[g.comp[(h, a)]] - rho[h] @ rho[a]
     return Ruth2(g, fibers, rho1, rho0, gamma)
 
 

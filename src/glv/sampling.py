@@ -320,7 +320,7 @@ def rand_gauge(rng: random.Random, r: Ruth2) -> tuple[Ruth2, RuthMorphism]:
         rho0[f] = r.rho0[f] + r.fibers[y].d @ lam[f]
     gamma = {}
     for h, a in g.composable_pairs():
-        ha = g.compose(h, a)
+        ha = g.comp[(h, a)]
         gamma[(h, a)] = (
             r.gamma[(h, a)] + lam[ha] - rho1[h] @ lam[a] - lam[h] @ r.rho0[a]
         )

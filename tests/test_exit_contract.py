@@ -3,7 +3,8 @@
 Whatever the document, verify, fill, convert and nerve exit 0, 1 or 2 and
 raise nothing but SystemExit: a hostile document is a structural error or a
 named law failure, never a traceback, and every exit-1 line names a law and
-the site where it fails.
+the site where it fails.  A simplex that fill prints is valid and restricts
+to the horn it was given.
 """
 
 import copy
@@ -17,6 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glv.cli import main
+from glv.documents import decode_horn, decode_simplex, load_document
+from glv.nerve import GLHandle, TableHandle, horn_of, validate_simplex
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCUMENTS = {p.name: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
@@ -97,6 +100,12 @@ def _run(scratch, name, plan, args):
     if result.exit_code == 1:
         lines = result.output.splitlines()
         assert lines and all(LAW_LINE.match(line) for line in lines), result.output
+    if result.exit_code == 0 and args[0] == "fill":
+        _, horn, _ = decode_horn(doc["payload"])
+        got, filled, cat = decode_simplex(load_document(result.output)[1])
+        handle = GLHandle() if got == "gl" else TableHandle(cat)
+        assert validate_simplex(handle, filled) == []
+        assert horn_of(filled, horn.k) == horn
 
 
 @given(st.sampled_from(sorted(DOCUMENTS)), st.lists(edits, min_size=1, max_size=3))

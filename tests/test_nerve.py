@@ -1,14 +1,17 @@
 """Simplices, horn filling, coskeletal extension, and the edge filtration."""
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, product
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from click.testing import CliRunner
 
 import glv.nerve as nerve
-from glv.documents import decode_two_category, load_document
+from glv.cli import main
+from glv.documents import decode_two_category, dump_document, encode_horn, load_document
 from glv.groupoid import pair_groupoid
 from glv.nerve import (
     GLHandle,
@@ -208,6 +211,83 @@ def test_fill_rejects_invalid_horn():
     assert any(v.law == "tetrahedron" for v in validate_horn(h, bad))
     with pytest.raises(NoFillerError):
         fill_horn(h, bad)
+
+
+def _unit_edge_horn(k: int):
+    """The multiplicative monoid on 0 and 1 as a one-object 2-category, and a
+    4-horn over it with every edge the unit arrow whose tetrahedra commute
+    while the tetrahedron of its k-th face does not: the first triangle
+    labelling in product order.  Whiskering by the unit arrow is the
+    identity, so (l, c, b, a) commutes when
+    u_{c,b,a} u_{l,c,a} = u_{l,c,b} u_{l,b,a}."""
+    mul = {(a, b): str(int(a) * int(b)) for a in "01" for b in "01"}
+    cat = monoid_delooping(["0", "1"], mul, "1")
+    star, unit = cat.objects[0], cat.unit_arrow[cat.objects[0]]
+    tris = list(combinations(range(4, -1, -1), 3))
+    for labels in product("01", repeat=len(tris)):
+        t = dict(zip(tris, labels))
+        holds = {
+            (l, c, b, a): mul[(t[(c, b, a)], t[(l, c, a)])] == mul[(t[(l, c, b)], t[(l, b, a)])]
+            for l, c, b, a in combinations(range(4, -1, -1), 4)
+        }
+        if all(ok == (k in quad) for quad, ok in holds.items()):
+            edges = {e: unit for e in combinations(range(4, -1, -1), 2)}
+            return cat, make_horn(4, k, (star,) * 5, edges, t)
+    raise AssertionError(f"no such horn for k = {k}")
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_fill_checks_the_tetrahedron_the_horn_lacks(k, tmp_path):
+    # the one check after filling that can fail on a valid horn
+    cat, horn = _unit_edge_horn(k)
+    h = TableHandle(cat)
+    missing = tuple(t for t in range(4, -1, -1) if t != k)
+    assert validate_horn(h, horn) == []
+    with pytest.raises(NoFillerError) as err:
+        fill_horn(h, horn)
+    assert str(err.value) == f"no filler exists: tetrahedron fails at {missing}"
+    path = tmp_path / "horn.json"
+    path.write_text(dump_document("horn", encode_horn(horn, cat)))
+    assert CliRunner().invoke(main, ["verify", str(path)]).output == "ok: horn\n"
+    result = CliRunner().invoke(main, ["fill", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"no filler: no filler exists: tetrahedron fails at {missing}\n"
+
+
+@pytest.mark.parametrize("source", ["gl", "table"])
+def test_five_horns_of_degenerate_simplices_fill_back(source):
+    # above dimension 4 the horn carries every label and every tetrahedron,
+    # so filling assembles and checks nothing more
+    if source == "gl":
+        h, s = GL, sample_gl_simplex(random.Random(5), 4)
+    else:
+        h = cyclic_handle(3)
+        s = sample_table_simplex(h, random.Random(5), 4)
+    for j in range(5):
+        d = degeneracy(h, s, j)
+        for k in range(6):
+            assert fill_horn(h, horn_of(d, k)) == d
+
+
+def test_four_horns_check_each_tetrahedron_once(monkeypatch):
+    s = sample_gl_simplex(random.Random(11), 4)
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(nerve, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(nerve, name, wrapper)
+
+    counted("_tetrahedron_sides")
+    counted("validate_simplex")
+    for k in range(5):
+        assert fill_horn(GL, horn_of(s, k)) == s
+    # four tetrahedra on each horn, then the one of its missing face
+    assert calls == {"_tetrahedron_sides": 25}
 
 
 def _solver_cases():
