@@ -10,7 +10,9 @@ makes the output canonical: converting a document twice reproduces the
 first conversion byte for byte.
 
 Structural problems, such as missing or unknown fields, malformed scalars,
-wrong matrix shapes and names that do not resolve, raise DocumentError.
+wrong matrix shapes and names that do not resolve or repeat, raise
+DocumentError.  Each table shape has one reader, which checks every name as
+it reads it against the names already read: "unknown arrow 'f'" at the entry.
 Payloads that are well formed but violate an equation of the objects they
 describe either surface through the verifiers or, for the checked GL
 constructors, as LawError naming the law and the piece being built.  An
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NoReturn, Sequence
 
 from .chain2 import ChainMap2, Fiber2
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
@@ -96,13 +98,33 @@ def _fields(obj, where: str, required: Sequence[str], optional: Sequence[str] = 
     return d
 
 
-def _str_dict(obj, where: str) -> dict:
-    d = _as_dict(obj, where)
-    return {k: _as_str(v, f"{where}.{k}") for k, v in d.items()}
-
-
 def _str_list(obj, where: str) -> list:
-    return [_as_str(v, f"{where}[{i}]") for i, v in enumerate(_as_list(obj, where))]
+    items = _as_list(obj, where)
+    for i, v in enumerate(items):
+        if not isinstance(v, str):
+            raise DocumentError(f"{where}[{i}]: expected a string")
+    return items
+
+
+def _unknown(kind: str, name: str, where: str) -> NoReturn:
+    raise DocumentError(f"{where}: unknown {kind} {name!r}")
+
+
+def _names(obj, where: str) -> tuple:
+    """A list of distinct names."""
+    names = _str_list(obj, where)
+    if len(set(names)) != len(names):
+        i = next(i for i, x in enumerate(names) if x in names[:i])
+        raise DocumentError(f"{where}[{i}]: repeated name {names[i]!r}")
+    return tuple(names)
+
+
+def _keyed_exactly(obj, names, what: str, where: str) -> dict:
+    """An object whose keys are exactly the given names."""
+    d = _as_dict(obj, where)
+    if set(d) != set(names):
+        raise DocumentError(f"{where}: keys do not match the {what}")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +181,18 @@ def fiber_from_json(obj, where: str) -> Fiber2:
     return Fiber2(dim1, dim0, matrix_from_lists(d["d"], dim0, dim1, f"{where}.d"))
 
 
-def _endpoints_from_json(obj, where: str) -> dict:
-    """An object mapping names to [src, tgt] pairs."""
+def _endpoints_from_json(obj, known, kind: str, where: str) -> dict:
+    """An object mapping names to [source, target] pairs of known kind names."""
     out = {}
     for name, val in _as_dict(obj, where).items():
-        pair = _str_list(val, f"{where}.{name}")
+        spot = f"{where}.{name}"
+        pair = _str_list(val, spot)
         if len(pair) != 2:
-            raise DocumentError(f"{where}.{name}: expected [source, target]")
-        out[name] = (pair[0], pair[1])
+            raise DocumentError(f"{spot}: expected [source, target]")
+        s, t = pair
+        if s not in known or t not in known:
+            _unknown(kind, s if s not in known else t, spot)
+        out[name] = (s, t)
     return out
 
 
@@ -179,16 +205,21 @@ def _pairs_to_json(table: Mapping) -> list:
     return [[h, g, v] for (h, g), v in sorted(table.items())]
 
 
-def _pairs_from_json(obj, where: str) -> dict:
+def _pairs_from_json(obj, known, kind: str, where: str) -> dict:
+    """A pair table: [left, right, result] triples of known kind names, as a
+    dict keyed by (left, right)."""
     out = {}
     for i, item in enumerate(_as_list(obj, where)):
-        triple = _str_list(item, f"{where}[{i}]")
+        spot = f"{where}[{i}]"
+        triple = _str_list(item, spot)
         if len(triple) != 3:
-            raise DocumentError(f"{where}[{i}]: expected [left, right, result]")
-        key = (triple[0], triple[1])
-        if key in out:
-            raise DocumentError(f"{where}[{i}]: duplicate pair {key}")
-        out[key] = triple[2]
+            raise DocumentError(f"{spot}: expected [left, right, result]")
+        a, b, r = triple
+        if (a, b) in out:
+            raise DocumentError(f"{spot}: duplicate pair {(a, b)}")
+        if a not in known or b not in known or r not in known:
+            _unknown(kind, next(x for x in triple if x not in known), spot)
+        out[(a, b)] = r
     return out
 
 
@@ -196,18 +227,16 @@ def _pair_matrices_to_json(table: Mapping) -> list:
     return [[h, g, matrix_to_lists(m)] for (h, g), m in sorted(table.items())]
 
 
-def _pair_matrices_from_json(obj, where: str) -> dict:
-    """A dict keyed by string pairs with raw (unshaped) matrix values."""
+def _name_map(obj, keys, key_kind: str, values, value_kind: str, where: str) -> dict:
+    """An object mapping names of keys to names of values."""
     out = {}
-    for i, item in enumerate(_as_list(obj, where)):
-        triple = _as_list(item, f"{where}[{i}]")
-        if len(triple) != 3:
-            raise DocumentError(f"{where}[{i}]: expected [left, right, matrix]")
-        h = _as_str(triple[0], f"{where}[{i}][0]")
-        g = _as_str(triple[1], f"{where}[{i}][1]")
-        if (h, g) in out:
-            raise DocumentError(f"{where}[{i}]: duplicate pair {(h, g)}")
-        out[(h, g)] = triple[2]
+    for x, v in _as_dict(obj, where).items():
+        _as_str(v, f"{where}.{x}")
+        if x not in keys:
+            _unknown(key_kind, x, where)
+        if v not in values:
+            _unknown(value_kind, v, f"{where}.{x}")
+        out[x] = v
     return out
 
 
@@ -227,27 +256,11 @@ def encode_groupoid(g: FinGroupoid) -> dict:
 
 def decode_groupoid(obj, where: str = "payload") -> FinGroupoid:
     d = _fields(obj, where, ("objects", "arrows", "compose", "units", "inverses"))
-    objects = tuple(_str_list(d["objects"], f"{where}.objects"))
-    arrows = _endpoints_from_json(d["arrows"], f"{where}.arrows")
-    comp = _pairs_from_json(d["compose"], f"{where}.compose")
-    units = _str_dict(d["units"], f"{where}.units")
-    inv = _str_dict(d["inverses"], f"{where}.inverses")
-    for a, (s, t) in arrows.items():
-        for x in (s, t):
-            if x not in objects:
-                raise DocumentError(f"{where}.arrows.{a}: unknown object {x!r}")
-    for (h, g), r in comp.items():
-        for a in (h, g, r):
-            if a not in arrows:
-                raise DocumentError(f"{where}.compose: unknown arrow {a!r}")
-    for x, u in units.items():
-        if x not in objects:
-            raise DocumentError(f"{where}.units: unknown object {x!r}")
-        if u not in arrows:
-            raise DocumentError(f"{where}.units.{x}: unknown arrow {u!r}")
-    for a, b in inv.items():
-        if a not in arrows or b not in arrows:
-            raise DocumentError(f"{where}.inverses: unknown arrow")
+    objects = _names(d["objects"], f"{where}.objects")
+    arrows = _endpoints_from_json(d["arrows"], objects, "object", f"{where}.arrows")
+    comp = _pairs_from_json(d["compose"], arrows, "arrow", f"{where}.compose")
+    units = _name_map(d["units"], objects, "object", arrows, "arrow", f"{where}.units")
+    inv = _name_map(d["inverses"], arrows, "arrow", arrows, "arrow", f"{where}.inverses")
     return FinGroupoid(objects, arrows, comp, units, inv)
 
 
@@ -264,10 +277,8 @@ def encode_bundle(fibers: Mapping) -> dict:
 
 def decode_bundle(obj, where: str = "payload") -> dict:
     d = _fields(obj, where, ("base", "fibers"))
-    base = _str_list(d["base"], f"{where}.base")
-    raw = _as_dict(d["fibers"], f"{where}.fibers")
-    if set(raw) != set(base):
-        raise DocumentError(f"{where}.fibers: keys do not match the base points")
+    base = _names(d["base"], f"{where}.base")
+    raw = _keyed_exactly(d["fibers"], base, "base points", f"{where}.fibers")
     return {x: fiber_from_json(raw[x], f"{where}.fibers.{x}") for x in base}
 
 
@@ -292,58 +303,22 @@ def encode_two_category(c: Fin2Cat) -> dict:
 
 
 def decode_two_category(obj, where: str = "payload") -> Fin2Cat:
-    d = _fields(
-        obj,
-        where,
-        (
-            "objects",
-            "arrows",
-            "cells",
-            "compose",
-            "hcompose",
-            "vcompose",
-            "unit_arrows",
-            "unit_cells",
-        ),
-        optional=("cell_inverses",),
+    fields = ("objects", "arrows", "cells", "compose", "hcompose", "vcompose")
+    d = _fields(obj, where, fields + ("unit_arrows", "unit_cells"), optional=("cell_inverses",))
+    objects = _names(d["objects"], f"{where}.objects")
+    arrows = _endpoints_from_json(d["arrows"], objects, "object", f"{where}.arrows")
+    cells = _endpoints_from_json(d["cells"], arrows, "arrow", f"{where}.cells")
+    tables = (
+        _pairs_from_json(d["compose"], arrows, "arrow", f"{where}.compose"),
+        _pairs_from_json(d["hcompose"], cells, "cell", f"{where}.hcompose"),
+        _pairs_from_json(d["vcompose"], cells, "cell", f"{where}.vcompose"),
+        _name_map(d["unit_arrows"], objects, "object", arrows, "arrow", f"{where}.unit_arrows"),
+        _name_map(d["unit_cells"], arrows, "arrow", cells, "cell", f"{where}.unit_cells"),
     )
-    objects = tuple(_str_list(d["objects"], f"{where}.objects"))
-    arrows = _endpoints_from_json(d["arrows"], f"{where}.arrows")
-    cells = _endpoints_from_json(d["cells"], f"{where}.cells")
-    comp1 = _pairs_from_json(d["compose"], f"{where}.compose")
-    hcomp = _pairs_from_json(d["hcompose"], f"{where}.hcompose")
-    vcomp = _pairs_from_json(d["vcompose"], f"{where}.vcompose")
-    unit_arrow = _str_dict(d["unit_arrows"], f"{where}.unit_arrows")
-    unit_cell = _str_dict(d["unit_cells"], f"{where}.unit_cells")
-    for f, (s, t) in arrows.items():
-        if s not in objects or t not in objects:
-            raise DocumentError(f"{where}.arrows.{f}: unknown object")
-    for r, (s, t) in cells.items():
-        if s not in arrows or t not in arrows:
-            raise DocumentError(f"{where}.cells.{r}: unknown arrow")
-    for label, table, names in (
-        ("compose", comp1, arrows),
-        ("hcompose", hcomp, cells),
-        ("vcompose", vcomp, cells),
-    ):
-        for (a, b), c_ in table.items():
-            if a not in names or b not in names or c_ not in names:
-                raise DocumentError(f"{where}.{label}: unknown name")
-    for x, f in unit_arrow.items():
-        if x not in objects or f not in arrows:
-            raise DocumentError(f"{where}.unit_arrows: unknown name")
-    for f, r in unit_cell.items():
-        if f not in arrows or r not in cells:
-            raise DocumentError(f"{where}.unit_cells: unknown name")
     if "cell_inverses" in d:
-        inv2 = _str_dict(d["cell_inverses"], f"{where}.cell_inverses")
-        for r, s in inv2.items():
-            if r not in cells or s not in cells:
-                raise DocumentError(f"{where}.cell_inverses: unknown cell")
-        return Fin2Groupoid(
-            objects, arrows, cells, comp1, hcomp, vcomp, unit_arrow, unit_cell, inv2
-        )
-    return Fin2Cat(objects, arrows, cells, comp1, hcomp, vcomp, unit_arrow, unit_cell)
+        inv2 = _name_map(d["cell_inverses"], cells, "cell", cells, "cell", f"{where}.cell_inverses")
+        return Fin2Groupoid(objects, arrows, cells, *tables, inv2)
+    return Fin2Cat(objects, arrows, cells, *tables)
 
 
 # ---------------------------------------------------------------------------
@@ -353,50 +328,64 @@ def decode_two_category(obj, where: str = "payload") -> Fin2Cat:
 def _groupoid_and_fibers(d: dict, where: str) -> tuple[FinGroupoid, dict]:
     g = decode_groupoid(d["groupoid"], f"{where}.groupoid")
     require(verify_groupoid(g), f"{where}.groupoid")
-    raw = _as_dict(d["fibers"], f"{where}.fibers")
-    if set(raw) != set(g.objects):
-        raise DocumentError(f"{where}.fibers: keys do not match the groupoid objects")
+    raw = _keyed_exactly(d["fibers"], g.objects, "groupoid objects", f"{where}.fibers")
     return g, {x: fiber_from_json(v, f"{where}.fibers.{x}") for x, v in raw.items()}
 
 
-def _arrow_matrices_from_json(obj, g, shape, where: str) -> dict:
-    """Per-arrow matrices, shape(x, y) giving (rows, cols) for an arrow x -> y."""
+def _arrow_ends(g: FinGroupoid, src: Mapping, dst: Mapping) -> dict:
+    """The fibers each arrow x -> y runs between: src[x] and dst[y]."""
+    return {a: (src[x], dst[y]) for a, (x, y) in g.arrows.items()}
+
+
+# The shape (rows, cols) of a matrix between the fibers fx and fy: a chain
+# map in degree 1 or 0, or a homotopy from degree 0 to degree 1.
+_DEGREE1 = lambda fx, fy: (fy.dim1, fx.dim1)
+_DEGREE0 = lambda fx, fy: (fy.dim0, fx.dim0)
+_HOMOTOPY = lambda fx, fy: (fy.dim1, fx.dim0)
+
+
+def _keyed_matrices(obj, ends: Mapping, kind: str, shape, where: str) -> dict:
+    """Matrices keyed by names of ends, which maps each kind name to the
+    (source, target) fibers that shape(source, target) reads."""
     out = {}
-    for a, raw in _as_dict(obj, where).items():
-        if a not in g.arrows:
-            raise DocumentError(f"{where}: unknown arrow {a!r}")
-        rows, cols = shape(*g.arrows[a])
-        out[a] = matrix_from_lists(raw, rows, cols, f"{where}.{a}")
+    for key, raw in _as_dict(obj, where).items():
+        if key not in ends:
+            _unknown(kind, key, where)
+        out[key] = matrix_from_lists(raw, *shape(*ends[key]), f"{where}.{key}")
     return out
 
 
 def _chain_maps_from_json(obj, ends: Mapping, what: str, where: str) -> tuple[dict, dict]:
     """Objects {"a1": ..., "a0": ...} keyed exactly like ends, which maps each
     key to the (source, target) fibers; returns the two degrees' matrices."""
-    raw = _as_dict(obj, where)
-    if set(raw) != set(ends):
-        raise DocumentError(f"{where}: keys do not match the {what}")
+    raw = _keyed_exactly(obj, ends, what, where)
     a1, a0 = {}, {}
     for key in sorted(raw):
         spot = f"{where}.{key}"
         pair = _fields(raw[key], spot, ("a1", "a0"))
-        fx, fy = ends[key]
-        a1[key] = matrix_from_lists(pair["a1"], fy.dim1, fx.dim1, f"{spot}.a1")
-        a0[key] = matrix_from_lists(pair["a0"], fy.dim0, fx.dim0, f"{spot}.a0")
+        a1[key] = matrix_from_lists(pair["a1"], *_DEGREE1(*ends[key]), f"{spot}.a1")
+        a0[key] = matrix_from_lists(pair["a0"], *_DEGREE0(*ends[key]), f"{spot}.a0")
     return a1, a0
 
 
 def _corrections_from_json(obj, g, fibers, where: str) -> dict:
-    """Pair-keyed degree-raising matrices V0(src g) -> V1(tgt h)."""
+    """Pair-keyed degree-raising matrices V0(src a) -> V1(tgt h)."""
     out = {}
-    for (h, a), raw in _pair_matrices_from_json(obj, where).items():
+    for i, item in enumerate(_as_list(obj, where)):
+        spot = f"{where}[{i}]"
+        triple = _as_list(item, spot)
+        if len(triple) != 3:
+            raise DocumentError(f"{spot}: expected [left, right, matrix]")
+        h = _as_str(triple[0], f"{spot}[0]")
+        a = _as_str(triple[1], f"{spot}[1]")
+        if (h, a) in out:
+            raise DocumentError(f"{spot}: duplicate pair {(h, a)}")
         if h not in g.arrows or a not in g.arrows:
-            raise DocumentError(f"{where}: unknown arrow in pair {(h, a)}")
+            _unknown("arrow", h if h not in g.arrows else a, spot)
         if g.src(h) != g.tgt(a):
             raise DocumentError(f"{where}: pair {(h, a)} is not composable")
-        rows = fibers[g.tgt(h)].dim1
-        cols = fibers[g.src(a)].dim0
-        out[(h, a)] = matrix_from_lists(raw, rows, cols, f"{where}[{h},{a}]")
+        shape = fibers[g.tgt(h)].dim1, fibers[g.src(a)].dim0
+        out[(h, a)] = matrix_from_lists(triple[2], *shape, f"{where}[{h},{a}]")
     return out
 
 
@@ -413,12 +402,9 @@ def encode_ruth(r: Ruth2) -> dict:
 def decode_ruth(obj, where: str = "payload") -> Ruth2:
     d = _fields(obj, where, ("groupoid", "fibers", "rho1", "rho0", "gamma"))
     g, fibers = _groupoid_and_fibers(d, where)
-    rho1 = _arrow_matrices_from_json(
-        d["rho1"], g, lambda x, y: (fibers[y].dim1, fibers[x].dim1), f"{where}.rho1"
-    )
-    rho0 = _arrow_matrices_from_json(
-        d["rho0"], g, lambda x, y: (fibers[y].dim0, fibers[x].dim0), f"{where}.rho0"
-    )
+    ends = _arrow_ends(g, fibers, fibers)
+    rho1 = _keyed_matrices(d["rho1"], ends, "arrow", _DEGREE1, f"{where}.rho1")
+    rho0 = _keyed_matrices(d["rho0"], ends, "arrow", _DEGREE0, f"{where}.rho0")
     gamma = _corrections_from_json(d["gamma"], g, fibers, f"{where}.gamma")
     return Ruth2(g, fibers, rho1, rho0, gamma)
 
@@ -444,7 +430,7 @@ def _functor_from_json(obj, where: str) -> Ruth2:
     """The matrices of a functor payload, shapes checked."""
     d = _fields(obj, where, ("groupoid", "fibers", "arrows", "compare"))
     g, fibers = _groupoid_and_fibers(d, where)
-    ends = {a: (fibers[x], fibers[y]) for a, (x, y) in g.arrows.items()}
+    ends = _arrow_ends(g, fibers, fibers)
     rho1, rho0 = _chain_maps_from_json(d["arrows"], ends, "groupoid arrows", f"{where}.arrows")
     gamma = _corrections_from_json(d["compare"], g, fibers, f"{where}.compare")
     return Ruth2(g, fibers, rho1, rho0, gamma)
@@ -476,6 +462,20 @@ def _indices_from_key(key: str, length: int, where: str) -> tuple:
     if len(out) != length or list(out) != sorted(out, reverse=True) or len(set(out)) != length:
         raise DocumentError(f"{where}: bad index key {key!r}")
     return tuple(out)
+
+
+def _label_table(obj, size: int, known, kind: str, where: str) -> dict:
+    """The labels of a table simplex or horn: names of known kind, keyed by
+    index keys of the given size."""
+    out = {}
+    for key, name in sorted(_as_dict(obj, where).items()):
+        spot = f"{where}.{key}"
+        _as_str(name, spot)
+        indices = _indices_from_key(key, size, spot)
+        if name not in known:
+            _unknown(kind, name, spot)
+        out[indices] = name
+    return out
 
 
 def encode_simplex(s: SimplexLabel, category: Fin2Cat | None = None) -> dict:
@@ -531,10 +531,10 @@ def _decode_gl_tables(d: dict, where: str):
         )
     edges = {}
     for key, raw in sorted(_as_dict(d["edges"], f"{where}.edges").items()):
-        j, i = _indices_from_key(key, 2, f"{where}.edges.{key}")
-        if j >= len(objs):
-            raise DocumentError(f"{where}.edges.{key}: index out of range")
         spot = f"{where}.edges.{key}"
+        j, i = _indices_from_key(key, 2, spot)
+        if j >= len(objs):
+            raise DocumentError(f"{spot}: index out of range")
         pair = _fields(raw, spot, ("a1", "a0"))
         fi, fj = objs[i].fiber, objs[j].fiber
         a1 = matrix_from_lists(pair["a1"], fj.dim1, fi.dim1, f"{spot}.a1")
@@ -545,18 +545,14 @@ def _decode_gl_tables(d: dict, where: str):
             raise e.at((j, i)) from None
     triangles = {}
     for key, raw in sorted(_as_dict(d["triangles"], f"{where}.triangles").items()):
-        k, j, i = _indices_from_key(key, 3, f"{where}.triangles.{key}")
+        spot = f"{where}.triangles.{key}"
+        k, j, i = _indices_from_key(key, 3, spot)
         if k >= len(objs):
-            raise DocumentError(f"{where}.triangles.{key}: index out of range")
+            raise DocumentError(f"{spot}: index out of range")
         for pair in ((k, i), (k, j), (j, i)):
             if pair not in edges:
-                raise DocumentError(f"{where}.triangles.{key}: edge {pair} is missing")
-        m = matrix_from_lists(
-            raw,
-            objs[k].fiber.dim1,
-            objs[i].fiber.dim0,
-            f"{where}.triangles.{key}",
-        )
+                raise DocumentError(f"{spot}: edge {pair} is missing")
+        m = matrix_from_lists(raw, objs[k].fiber.dim1, objs[i].fiber.dim0, spot)
         try:
             triangles[(k, j, i)] = GL2Cell(
                 edges[(k, i)], compose_arrows(edges[(k, j)], edges[(j, i)]), m
@@ -574,19 +570,9 @@ def _decode_table_tables(d: dict, where: str):
     vertices = _str_list(d["vertices"], f"{where}.vertices")
     for i, x in enumerate(vertices):
         if x not in cat.objects:
-            raise DocumentError(f"{where}.vertices[{i}]: unknown object {x!r}")
-    edges = {}
-    for key, name in sorted(_str_dict(d["edges"], f"{where}.edges").items()):
-        j, i = _indices_from_key(key, 2, f"{where}.edges.{key}")
-        if name not in cat.arrows:
-            raise DocumentError(f"{where}.edges.{key}: unknown arrow {name!r}")
-        edges[(j, i)] = name
-    triangles = {}
-    for key, name in sorted(_str_dict(d["triangles"], f"{where}.triangles").items()):
-        k, j, i = _indices_from_key(key, 3, f"{where}.triangles.{key}")
-        if name not in cat.cells:
-            raise DocumentError(f"{where}.triangles.{key}: unknown cell {name!r}")
-        triangles[(k, j, i)] = name
+            _unknown("object", x, f"{where}.vertices[{i}]")
+    edges = _label_table(d["edges"], 2, cat.arrows, "arrow", f"{where}.edges")
+    triangles = _label_table(d["triangles"], 3, cat.cells, "cell", f"{where}.triangles")
     return vertices, edges, triangles, cat
 
 
@@ -658,23 +644,12 @@ def morphism_style(obj, where: str = "payload") -> str:
     return style
 
 
-def _point_matrices_from_json(obj, src: Ruth2, dst: Ruth2, degree: int, where: str) -> dict:
-    out = {}
-    for x, raw in _as_dict(obj, where).items():
-        if x not in src.fibers:
-            raise DocumentError(f"{where}: unknown object {x!r}")
-        f, fp = src.fibers[x], dst.fibers[x]
-        rows, cols = (fp.dim1, f.dim1) if degree == 1 else (fp.dim0, f.dim0)
-        out[x] = matrix_from_lists(raw, rows, cols, f"{where}.{x}")
-    return out
-
-
 def decode_ruth_morphism(obj, where: str = "payload") -> RuthMorphism:
     d = _fields(obj, where, ("style", "source", "target", "theta1", "theta0", "mu"))
-    src, dst = _morphism_ends(d, "ruth", decode_ruth, where)
-    theta1 = _point_matrices_from_json(d["theta1"], src, dst, 1, f"{where}.theta1")
-    theta0 = _point_matrices_from_json(d["theta0"], src, dst, 0, f"{where}.theta0")
-    mu = _homotopies_from_json(d["mu"], src, dst, f"{where}.mu")
+    src, dst, points, arrows = _morphism_ends(d, "ruth", decode_ruth, where)
+    theta1 = _keyed_matrices(d["theta1"], points, "object", _DEGREE1, f"{where}.theta1")
+    theta0 = _keyed_matrices(d["theta0"], points, "object", _DEGREE0, f"{where}.theta0")
+    mu = _keyed_matrices(d["mu"], arrows, "arrow", _HOMOTOPY, f"{where}.mu")
     return RuthMorphism(src, dst, theta1, theta0, mu)
 
 
@@ -683,30 +658,23 @@ def decode_lax_morphism(obj, where: str = "payload") -> RuthMorphism:
     decode_ruth_morphism does for its style; no GL cell is built, and
     verify_morphism in style "lax" checks every law."""
     d = _fields(obj, where, ("style", "source", "target", "components", "cells"))
-    src, dst = _morphism_ends(d, "lax", _functor_from_json, where)
-    ends = {x: (src.fibers[x], dst.fibers[x]) for x in src.fibers}
-    theta1, theta0 = _chain_maps_from_json(d["components"], ends, "objects", f"{where}.components")
-    mu = _homotopies_from_json(d["cells"], src, dst, f"{where}.cells")
+    src, dst, points, arrows = _morphism_ends(d, "lax", _functor_from_json, where)
+    theta1, theta0 = _chain_maps_from_json(d["components"], points, "objects", f"{where}.components")
+    mu = _keyed_matrices(d["cells"], arrows, "arrow", _HOMOTOPY, f"{where}.cells")
     return RuthMorphism(src, dst, theta1, theta0, mu)
 
 
-def _morphism_ends(d: dict, style: str, decode, where: str) -> tuple[Ruth2, Ruth2]:
+def _morphism_ends(d: dict, style: str, decode, where: str) -> tuple:
     """The source and target of a morphism payload in the given style, over
-    one groupoid."""
+    one groupoid, and the (source, target) fibers of each point and arrow."""
     if d["style"] != style:
         raise DocumentError(f"{where}.style: expected {style!r}")
     src = decode(d["source"], f"{where}.source")
     dst = decode(d["target"], f"{where}.target")
     if src.groupoid != dst.groupoid:
         raise DocumentError(f"{where}: source and target live over different groupoids")
-    return src, dst
-
-
-def _homotopies_from_json(obj, src: Ruth2, dst: Ruth2, where: str) -> dict:
-    """Per-arrow matrices V0(x) -> V1'(y) of a morphism's naturality cells."""
-    return _arrow_matrices_from_json(
-        obj, src.groupoid, lambda x, y: (dst.fibers[y].dim1, src.fibers[x].dim0), where
-    )
+    points = {x: (src.fibers[x], dst.fibers[x]) for x in src.fibers}
+    return src, dst, points, _arrow_ends(src.groupoid, src.fibers, dst.fibers)
 
 
 # ---------------------------------------------------------------------------

@@ -77,19 +77,19 @@ def _groupoid_tables(g: FinGroupoid) -> Iterator[Violation]:
 
 
 def _groupoid_laws(g: FinGroupoid) -> Iterator[Violation]:
-    for a in g.arrows:
-        if g.compose(a, g.units[g.src(a)]) != a or g.compose(g.units[g.tgt(a)], a) != a:
+    """Read straight off the tables: the gate runs this stage only after
+    _groupoid_tables proved every composable pair present."""
+    comp, units = g.comp, g.units
+    for a, (x, y) in g.arrows.items():
+        if comp[(a, units[x])] != a or comp[(units[y], a)] != a:
             yield Violation("unit law", (a,))
         b = g.inv.get(a)
-        if b is None or g.arrows.get(b) != (g.tgt(a), g.src(a)):
+        if b is None or g.arrows.get(b) != (y, x):
             yield Violation("inverse law", (a,))
-        elif (
-            g.compose(b, a) != g.units[g.src(a)]
-            or g.compose(a, b) != g.units[g.tgt(a)]
-        ):
+        elif comp[(b, a)] != units[x] or comp[(a, b)] != units[y]:
             yield Violation("inverse law", (a,))
     for k, h, a in g.composable_triples():
-        if g.compose(g.compose(k, h), a) != g.compose(k, g.compose(h, a)):
+        if comp[(comp[(k, h)], a)] != comp[(k, comp[(h, a)])]:
             yield Violation("associativity", (k, h, a))
 
 

@@ -170,31 +170,37 @@ def lax_to_simplicial(fun: LaxFunctor, source_handle, target) -> SimplicialMapDa
 
 
 def verify_simplicial_map(data: SimplicialMapData, source_handle, target) -> list[Violation]:
-    out: list[Violation] = []
-    for level, simplices in enumerate(nerve_levels(source_handle, 3)):
-        have = data.levels.get(level, {})
-        for s in simplices:
-            if s not in have:
-                out.append(Violation("totality", (level,), "simplex has no image"))
-                return out
-            if have[s].n != level:
-                out.append(Violation("dimension", (level,)))
-                return out
-    for level in range(1, 4):
-        for s, img in data.levels[level].items():
+    """Totality first: in levels 0 to 3 the images are keyed by exactly the
+    simplices of the source nerve and have their dimension.  Then faces, then
+    degeneracies, which may therefore look up every face and degeneracy."""
+    levels = data.levels
+    source = [set(simplices) for simplices in nerve_levels(source_handle, 3)]
+    return gate(
+        _simplicial_totality(levels, source),
+        _commuting(levels, face, source_handle, target, range(1, 4), -1, "faces"),
+        _commuting(levels, degeneracy, source_handle, target, range(3), 1, "degeneracies"),
+    )
+
+
+def _simplicial_totality(levels: dict, source: list) -> Iterator[Violation]:
+    for level, simplices in enumerate(source):
+        have = levels.get(level, {})
+        if any(s not in have for s in simplices):
+            yield Violation("totality", (level,), "simplex has no image")
+        if any(s not in simplices for s in have):
+            yield Violation("totality", (level,), "image of a labelling that is not a simplex")
+        if any(img.n != level for img in have.values()):
+            yield Violation("dimension", (level,))
+
+
+def _commuting(levels, op, source_handle, target, stage, shift, what) -> Iterator[Violation]:
+    """Where op (face or degeneracy, shifting the level by shift) applied to
+    a source simplex of the stage's levels and to its image disagree."""
+    for level in stage:
+        for s, img in levels[level].items():
             for i in range(level + 1):
-                if data.levels[level - 1][face(source_handle, s, i)] != face(target, img, i):
-                    out.append(Violation("simplicial identity", (level, i), "faces do not commute"))
-    for level in range(3):
-        for s, img in data.levels[level].items():
-            for j in range(level + 1):
-                if data.levels[level + 1][degeneracy(source_handle, s, j)] != degeneracy(
-                    target, img, j
-                ):
-                    out.append(
-                        Violation("simplicial identity", (level, j), "degeneracies do not commute")
-                    )
-    return out
+                if levels[level + shift][op(source_handle, s, i)] != op(target, img, i):
+                    yield Violation("simplicial identity", (level, i), f"{what} do not commute")
 
 
 def _unit_triangle(c: Fin2Cat, r: str) -> SimplexLabel:

@@ -72,7 +72,7 @@ def _projection_to_minimal(x: Fiber2) -> ChainMap2:
     # quasi-isomorphism from x onto the fiber (H1, H0, 0)
     h = homology(x)
     minimal = Fiber2(h.h1, h.h0, RatMatrix.zeros(h.h0, h.h1))
-    ker = kernel_inclusion(x.d)
+    ker = kernel_inclusion(x)
     basis = hstack(ker, basis_completion(ker))
     inv = solve(basis, RatMatrix.identity(x.dim1))
     p1 = inv.block(0, h.h1, 0, x.dim1)
@@ -83,7 +83,7 @@ def _projection_to_minimal(x: Fiber2) -> ChainMap2:
 def _inclusion_of_minimal(y: Fiber2) -> ChainMap2:
     h = homology(y)
     minimal = Fiber2(h.h1, h.h0, RatMatrix.zeros(h.h0, h.h1))
-    return ChainMap2(minimal, y, kernel_inclusion(y.d), cokernel_complement(y))
+    return ChainMap2(minimal, y, kernel_inclusion(y), cokernel_complement(y))
 
 
 def perturb_chain_map(rng: random.Random, m: ChainMap2, span: int = 2) -> ChainMap2:

@@ -227,10 +227,7 @@ def _inverses(g: Fin2Groupoid) -> Iterator[Violation]:
         f_src, f_tgt = g.cells[r]
         if s is None or g.cells.get(s) != (f_tgt, f_src):
             yield Violation("inverse law", (r,), "vertical inverse missing")
-        elif (
-            g.vcompose(s, r) != g.unit_cell[f_src]
-            or g.vcompose(r, s) != g.unit_cell[f_tgt]
-        ):
+        elif g.vcomp[(s, r)] != g.unit_cell[f_src] or g.vcomp[(r, s)] != g.unit_cell[f_tgt]:
             yield Violation("inverse law", (r,), "2-cell not invertible")
     for f in g.arrows:
         if find_quasi_inverse(g, f) is None:
@@ -251,33 +248,24 @@ def delooping(
     Raises when the group is not abelian: horizontal and vertical composition
     coincide on a single arrow, so interchange forces commutativity.
     """
-    els = tuple(elements)
-    for a, b in product(els, els):
-        if mul[(a, b)] != mul[(b, a)]:
-            raise ValueError("interchange fails: the group is not abelian")
-    inv = {a: next(b for b in els if mul[(a, b)] == unit) for a in els}
-    table = dict(mul)
-    return Fin2Groupoid(
-        objects=("*",),
-        arrows={"id": ("*", "*")},
-        cells={a: ("id", "id") for a in els},
-        comp1={("id", "id"): "id"},
-        hcomp=table,
-        vcomp=dict(table),
-        unit_arrow={"*": "id"},
-        unit_cell={"id": unit},
-        inv2=inv,
-    )
+    c = _one_object(elements, mul, unit, "the group is not abelian")
+    inv = {a: next(b for b in c.cells if mul[(a, b)] == unit) for a in c.cells}
+    return Fin2Groupoid(**vars(c), inv2=inv)
 
 
 def monoid_delooping(
     elements: Iterable[str], mul: Mapping[tuple[str, str], str], unit: str
 ) -> Fin2Cat:
     """Like delooping but for a commutative monoid; 2-cells need not invert."""
+    return _one_object(elements, mul, unit, "the monoid is not commutative")
+
+
+def _one_object(elements: Iterable[str], mul: Mapping, unit: str, noncommutative: str) -> Fin2Cat:
+    """The tables of a one-object 2-category whose 2-cells multiply by mul."""
     els = tuple(elements)
     for a, b in product(els, els):
         if mul[(a, b)] != mul[(b, a)]:
-            raise ValueError("interchange fails: the monoid is not commutative")
+            raise ValueError(f"interchange fails: {noncommutative}")
     table = dict(mul)
     return Fin2Cat(
         objects=("*",),

@@ -1,0 +1,34 @@
+"""The benchmark's workloads run on the program as it is: for each workload,
+set-up at seed 1, then the first three requests and one hostile request go
+through the workload's own run and check, which find nothing wrong."""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import glv.cli  # noqa: F401  the workloads call the modules the CLI loads
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "glvbench"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports its siblings checks and speed as top-level modules
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+@pytest.mark.parametrize("name", ["ruth-equiv", "gl-horns", "nerve-table", "cli-corpus"])
+def test_workload_requests_pass_their_checks(workloads, name, tmp_path):
+    cls = workloads.WORKLOADS[name]
+    wl = cls(ROOT) if cls is workloads.CliCorpus else cls()
+    reqs = wl.generate(1, tmp_path)
+    hostile = [r for r in reqs if r.hostile][:1]
+    for req in reqs[:3] + hostile:
+        assert wl.check(req, wl.run(req)) is None, req.name

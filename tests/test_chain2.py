@@ -28,7 +28,7 @@ from glv.chain2 import (
     zero_fiber,
 )
 from glv.linalg import RatMatrix, basis_completion, hstack, rank, rref, solve
-from glv.sampling import rand_fiber, rand_fiber_with_homology
+from glv.sampling import rand_fiber, rand_fiber_with_homology, rand_quasi_iso
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
@@ -190,3 +190,22 @@ def test_cokernel_projection_reads_the_complement(seed, h1, h0, prescribed):
     assert (q @ f.d).is_zero
     ref = reference_cokernel_projection(f)
     assert (q.rows, q.cols, q.nums, q.den) == (ref.rows, ref.cols, ref.nums, ref.den)
+
+
+class ZeroDraws(random.Random):
+    """Every randint is 0, so every random chain map is the zero map."""
+
+    def randint(self, a, b):
+        return 0
+
+
+def test_rand_quasi_iso_falls_back_through_the_minimal_fiber():
+    # zero maps are never quasi-isomorphisms between fibers of homology (1, 1),
+    # so every draw fails and the fallback builds the answer
+    for seed in range(20):
+        rng = random.Random(seed)
+        src = rand_fiber_with_homology(rng, 1, 1)
+        dst = rand_fiber_with_homology(rng, 1, 1)
+        m = rand_quasi_iso(ZeroDraws(seed), src, dst)
+        assert (m.src, m.dst) == (src, dst)
+        assert is_quasi_iso(m)

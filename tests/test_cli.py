@@ -397,6 +397,27 @@ def test_an_empty_compose_table_is_a_law_failure(tmp_path, verb):
     assert "composability fails at ('a|a', 'a|a')" in result.output
 
 
+@pytest.mark.parametrize(
+    "name, table, verb",
+    [
+        ("two_category_delooping_z4.json", "objects", ("verify",)),
+        ("two_category_delooping_z4.json", "objects", ("nerve", "--level", "2")),
+        ("groupoid_pair.json", "objects", ("verify",)),
+        ("bundle.json", "base", ("verify",)),
+    ],
+    ids=["two-category", "nerve", "groupoid", "bundle"],
+)
+def test_a_repeated_name_is_structural(tmp_path, name, table, verb):
+    names = json.loads((FIXTURES / name).read_text())["payload"][table]
+
+    def repeat_first(p):
+        p[table].append(p[table][0])
+
+    result = run(verb[0], _mutated(tmp_path, name, repeat_first), *verb[1:])
+    assert result.exit_code == 2
+    assert result.output == f"error: payload.{table}[{len(names)}]: repeated name {names[0]!r}\n"
+
+
 def test_a_morphism_between_broken_representations_is_refused(tmp_path):
     _, payload = load_document((FIXTURES / "bad_ruth_cocycle.json").read_text())
     m = identity_morphism(decode_ruth(payload))

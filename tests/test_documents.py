@@ -272,6 +272,44 @@ def test_names_must_resolve():
         decode_ruth(rp)
 
 
+def _set(table, key, value):
+    def edit(p):
+        p[table][key] = value
+
+    return edit
+
+
+def _set_in(table, key, i):
+    def edit(p):
+        p[table][key][i] = "ghost"
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_in("arrows", "a|b", 1), "payload.arrows.a|b: unknown object 'ghost'"),
+        (_set_in("cells", "id[a|b]", 0), "payload.cells.id[a|b]: unknown arrow 'ghost'"),
+        (_set_in("compose", 1, 2), "payload.compose[1]: unknown arrow 'ghost'"),
+        (_set_in("hcompose", 2, 0), "payload.hcompose[2]: unknown cell 'ghost'"),
+        (_set_in("vcompose", 3, 1), "payload.vcompose[3]: unknown cell 'ghost'"),
+        (_set("unit_arrows", "ghost", "a|a"), "payload.unit_arrows: unknown object 'ghost'"),
+        (_set("unit_arrows", "b", "ghost"), "payload.unit_arrows.b: unknown arrow 'ghost'"),
+        (_set("unit_cells", "ghost", "id[a|a]"), "payload.unit_cells: unknown arrow 'ghost'"),
+        (_set("unit_cells", "a|b", "ghost"), "payload.unit_cells.a|b: unknown cell 'ghost'"),
+        (_set("cell_inverses", "ghost", "id[a|a]"), "payload.cell_inverses: unknown cell 'ghost'"),
+        (_set("cell_inverses", "id[b|a]", "ghost"), "payload.cell_inverses.id[b|a]: unknown cell 'ghost'"),
+    ],
+)
+def test_two_category_names_must_resolve(edit, message):
+    payload = encode_two_category(from_groupoid(pair_groupoid(["a", "b"])))
+    edit(payload)
+    with pytest.raises(DocumentError) as e:
+        decode_two_category(payload)
+    assert str(e.value) == message
+
+
 def test_bad_index_keys_are_rejected():
     rng = random.Random(4)
     s = sample_gl_simplex(rng, 2)

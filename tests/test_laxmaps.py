@@ -25,7 +25,7 @@ from glv.laxmaps import (
     verify_simplicial_map,
 )
 from glv.linalg import RatMatrix
-from glv.nerve import GLHandle, TableHandle, validate_simplex
+from glv.nerve import GLHandle, TableHandle, make_simplex, validate_simplex
 from glv.sampling import sample_table_simplex
 from glv.twocat import from_groupoid, verify_2groupoid
 
@@ -128,10 +128,24 @@ def test_non_simplicial_data_is_rejected():
     old = tris[(2, 1, 0)]
     f, a = old.split(";")
     tris[(2, 1, 0)] = f"{f};{str(1 - int(a))}"
-    from glv.nerve import make_simplex
-
     data.levels[2][key] = make_simplex(img.vertices, img.edge_map(), tris)
     with pytest.raises(NotSimplicialError):
+        simplicial_to_lax(data, h, h)
+
+
+def test_image_of_a_non_simplex_is_a_totality_violation():
+    h, fun = carry_functor(2)
+    data = lax_to_simplicial(fun, h, h)
+    key = next(iter(data.levels[2]))
+    edges = key.edge_map()
+    edges[(1, 0)] = "1" if edges[(1, 0)] == "0" else "0"
+    stray = make_simplex(key.vertices, edges, key.triangle_map())
+    assert stray not in data.levels[2]
+    data.levels[2][stray] = data.levels[2][key]
+    assert [str(v) for v in verify_simplicial_map(data, h, h)] == [
+        "totality fails at (2,): image of a labelling that is not a simplex"
+    ]
+    with pytest.raises(NotSimplicialError, match="not a simplex"):
         simplicial_to_lax(data, h, h)
 
 
