@@ -688,10 +688,20 @@ def dump_document(kind: str, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _distinct_keys(pairs: list) -> dict:
+    # json.loads would keep the last of repeated keys and drop the others
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise DocumentError(f"repeated key {repeated!r} in a JSON object")
+    return d
+
+
 def load_document(text: str):
     """Parse a document, returning (kind, payload) without decoding the payload."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_distinct_keys)
     except json.JSONDecodeError as e:
         raise DocumentError(f"not valid JSON: {e}") from e
     d = _fields(doc, "document", ("kind", "version", "payload"))

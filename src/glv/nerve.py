@@ -44,7 +44,10 @@ class IncompatibleBoundaryError(Exception):
 
 
 class TableHandle:
-    """Operations of a finite 2-category given by tables."""
+    """Operations of a finite 2-category given by tables, which verify_fin2cat
+    must have passed: compositions and whiskers are reads of comp1, vcomp,
+    hcomp and unit_cell that check no composability.  A cell's inverse is read
+    from inv2 or searched for once; without one, the inverse law fails at it."""
 
     def __init__(self, cat: Fin2Cat):
         self.cat = cat
@@ -54,6 +57,7 @@ class TableHandle:
         self._cells_into: dict = {}
         for r, (_, g) in cat.cells.items():
             self._cells_into.setdefault(g, []).append(r)
+        self._inverse = dict(cat.inv2) if isinstance(cat, Fin2Groupoid) else {}
 
     def id_arrow(self, x):
         return self.cat.unit_arrow[x]
@@ -62,43 +66,43 @@ class TableHandle:
         return self.cat.unit_cell[f]
 
     def arrow_src(self, f):
-        return self.cat.arrow_src(f)
+        return self.cat.arrows[f][0]
 
     def arrow_tgt(self, f):
-        return self.cat.arrow_tgt(f)
+        return self.cat.arrows[f][1]
 
     def cell_src(self, r):
-        return self.cat.cell_src(r)
+        return self.cat.cells[r][0]
 
     def cell_tgt(self, r):
-        return self.cat.cell_tgt(r)
+        return self.cat.cells[r][1]
 
     def compose(self, g, f):
-        return self.cat.compose(g, f)
+        return self.cat.comp1[(g, f)]
 
     def vcompose(self, s, r):
-        return self.cat.vcompose(s, r)
+        return self.cat.vcomp[(s, r)]
 
     def hcompose(self, s, r):
-        return self.cat.hcompose(s, r)
+        return self.cat.hcomp[(s, r)]
 
     def whisker_left(self, g, r):
-        return self.cat.hcompose(self.cat.unit_cell[g], r)
+        return self.cat.hcomp[(self.cat.unit_cell[g], r)]
 
     def whisker_right(self, r, f):
-        return self.cat.hcompose(r, self.cat.unit_cell[f])
+        return self.cat.hcomp[(r, self.cat.unit_cell[f])]
 
     def invert_cell(self, r):
-        if isinstance(self.cat, Fin2Groupoid):
-            return self.cat.inv2[r]
-        f, g = self.cat.cells[r]
-        for s in self.cat.cells_between(g, f):
-            if (
-                self.cat.vcompose(s, r) == self.cat.unit_cell[f]
-                and self.cat.vcompose(r, s) == self.cat.unit_cell[g]
-            ):
-                return s
-        raise NoFillerError(Violation("inverse law", (r,)))
+        if r not in self._inverse:
+            c = self.cat
+            f, g = c.cells[r]
+            for s in c.cells_between(g, f):
+                if c.vcomp[(s, r)] == c.unit_cell[f] and c.vcomp[(r, s)] == c.unit_cell[g]:
+                    self._inverse[r] = s
+                    break
+            else:
+                raise NoFillerError(Violation("inverse law", (r,)))
+        return self._inverse[r]
 
     def quasi_inverse(self, f):
         got = find_quasi_inverse(self.cat, f)
@@ -186,6 +190,17 @@ class SimplexLabel:
         return dict(self.triangles)
 
 
+# A simplex lists its labels sorted, largest index first: edge (j, i) at
+# _edge_at(j, i), triangle (k, j, i) at _triangle_at(k, j, i).  After those of
+# the face d_n, (n, l) is the l-th label and (n, l, m) the _edge_at(l, m)-th.
+def _edge_at(j: int, i: int) -> int:
+    return comb(j, 2) + i
+
+
+def _triangle_at(k: int, j: int, i: int) -> int:
+    return comb(k, 3) + _edge_at(j, i)
+
+
 def make_simplex(vertices: Sequence, edges: Mapping, triangles: Mapping) -> SimplexLabel:
     n = len(vertices) - 1
     want_edges = {(j, i) for j in range(n + 1) for i in range(j)}
@@ -197,20 +212,18 @@ def make_simplex(vertices: Sequence, edges: Mapping, triangles: Mapping) -> Simp
     return SimplexLabel(tuple(vertices), _freeze(edges), _freeze(triangles))
 
 
-def edge_of(handle, s, j: int, i: int):
+def edge_of(handle, s: SimplexLabel, j: int, i: int):
     """u_{j,i} with the degenerate case u_{i,i} = identity."""
     if j == i:
         return handle.id_arrow(s.vertices[i])
-    return s.edge_map()[(j, i)]
+    return s.edges[_edge_at(j, i)][1]
 
 
-def triangle_of(handle, s, k: int, j: int, i: int):
+def triangle_of(handle, s: SimplexLabel, k: int, j: int, i: int):
     """u_{k,j,i} with repeated indices giving identity 2-cells."""
-    if k == j == i:
-        return handle.id_cell(handle.id_arrow(s.vertices[i]))
     if k == j or j == i:
         return handle.id_cell(edge_of(handle, s, k, i))
-    return s.triangle_map()[(k, j, i)]
+    return s.triangles[_triangle_at(k, j, i)][1]
 
 
 def _tetrahedron_sides(handle, edges: Mapping, tris: Mapping, quad):
@@ -293,24 +306,19 @@ def _validate_labels(handle, s, keep) -> list[Violation]:
 
 def _reindex(handle, s: SimplexLabel, size: int, m) -> SimplexLabel:
     """The simplex on vertices 0..size-1 labelled by s at the indices m(t),
-    m non-decreasing; repeated indices give identities as in edge_of and
+    m non-decreasing; repeated indices give identities, by edge_of and
     triangle_of."""
-    em, tm = s.edge_map(), s.triangle_map()
-    verts = tuple(s.vertices[m(t)] for t in range(size))
-    edges = {
-        (b, a): em[(m(b), m(a))] if m(b) != m(a) else handle.id_arrow(verts[a])
-        for b in range(size)
-        for a in range(b)
-    }
-    tris = {
-        (c, b, a): tm[(m(c), m(b), m(a))]
-        if m(c) != m(b) != m(a)
-        else handle.id_cell(edges[(c, a)])
-        for c in range(size)
-        for b in range(c)
-        for a in range(b)
-    }
-    return SimplexLabel(verts, _freeze(edges), _freeze(tris))
+    span = range(size)
+    return SimplexLabel(
+        tuple(s.vertices[m(t)] for t in span),
+        tuple(((b, a), edge_of(handle, s, m(b), m(a))) for b in span for a in range(b)),
+        tuple(
+            ((c, b, a), triangle_of(handle, s, m(c), m(b), m(a)))
+            for c in span
+            for b in range(c)
+            for a in range(b)
+        ),
+    )
 
 
 def face(handle, s: SimplexLabel, i: int) -> SimplexLabel:
@@ -467,42 +475,53 @@ def coskeletal_extend(handle, boundary: Sequence[SimplexLabel]) -> SimplexLabel:
     return s
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen field costs a call to set, per stage
 class FiltrationStage:
     """The stage F_k of the filtration interpolating the inclusion
-    of the last face: F_k carries the labels a with max(a) < n or min(a) >= k."""
+    of the last face: F_k carries the labels a with max(a) < n or min(a) >= k.
 
-    n: int
+    The labels with max(a) < n are those of base, the face d_n, which stages
+    over it share.  Those at vertex n are (key, label) items by position, None
+    where F_k has none: top_edges[l] is ((n, l), u_{n,l}) and
+    top_triangles[_edge_at(l, m)] is ((n, l, m), u_{n,l,m}).  edge_map and
+    triangle_map are views for reading a stage; building one never calls them."""
+
     k: int
     vertices: tuple
-    edges: tuple
-    triangles: tuple
+    base: SimplexLabel
+    top_edges: list
+    top_triangles: list
+
+    @property
+    def n(self) -> int:
+        return len(self.vertices) - 1
 
     def edge_map(self) -> dict:
-        return dict(self.edges)
+        return dict(self.base.edges + tuple(filter(None, self.top_edges)))
 
     def triangle_map(self) -> dict:
-        return dict(self.triangles)
+        return dict(self.base.triangles + tuple(filter(None, self.top_triangles)))
 
 
 def strip_to_stage(s: SimplexLabel, k: int) -> FiltrationStage:
     n = s.n
     if not 0 <= k <= n - 1:
         raise ValueError("stage index out of range")
-
-    def present(label) -> bool:
-        return label[0][0] < n or label[0][-1] >= k
-
-    return FiltrationStage(
-        n, k, s.vertices, tuple(filter(present, s.edges)), tuple(filter(present, s.triangles))
-    )
+    e, t = _edge_at(n, 0), _triangle_at(n, 0, 0)
+    base = SimplexLabel(s.vertices[:-1], s.edges[:e], s.triangles[:t])
+    top_edges = [item if item[0][-1] >= k else None for item in s.edges[e:]]
+    top_triangles = [item if item[0][-1] >= k else None for item in s.triangles[t:]]
+    return FiltrationStage(k, s.vertices, base, top_edges, top_triangles)
 
 
 def stage_to_simplex(stage: FiltrationStage) -> SimplexLabel:
     if stage.k != 0:
         raise ValueError("only the last stage carries a full simplex")
-    # F_0 carries every label, sorted
-    return SimplexLabel(stage.vertices, stage.edges, stage.triangles)
+    return SimplexLabel(
+        stage.vertices,
+        stage.base.edges + tuple(stage.top_edges),
+        stage.base.triangles + tuple(stage.top_triangles),
+    )
 
 
 def reconstruct_stage(handle, stage: FiltrationStage, alpha) -> FiltrationStage:
@@ -516,59 +535,40 @@ def reconstruct_stage(handle, stage: FiltrationStage, alpha) -> FiltrationStage:
                      * u_{n,k+1,k}
 
     vertically composed bottom-up, whiskering on the left of the first factor
-    and the right of the second.
+    and the right of the second.  Only the labels at vertex n are copied and
+    written, by position; those of the face d_n are read from the shared base.
+    Over a TableHandle the whiskers and composites are single table reads.
     """
     n, k1 = stage.n, stage.k
     if k1 < 1:
         raise ValueError("nothing left to reconstruct")
     k = k1 - 1
-    edges = stage.edge_map()
-    tris = stage.triangle_map()
-    target = handle.compose(edges[(n, k1)], edges[(k1, k)])
-    if handle.cell_tgt(alpha) != target:
+    below = stage.base.edges[_edge_at(k1, k)][1]  # u_{k+1,k}
+    if handle.cell_tgt(alpha) != handle.compose(stage.top_edges[k1][1], below):
         raise ValueError("new 2-cell does not target the composite over the new edge")
     new_edge = handle.cell_src(alpha)
-    if handle.arrow_src(new_edge) != stage.vertices[k] or handle.arrow_tgt(
-        new_edge
-    ) != stage.vertices[n]:
+    ends = handle.arrow_src(new_edge), handle.arrow_tgt(new_edge)
+    if ends != (stage.vertices[k], stage.vertices[n]):
         raise ValueError("new 2-cell source is not an edge from vertex k to vertex n")
-    edges[(n, k)] = new_edge
-    tris[(n, k1, k)] = alpha
+    edges, tris = stage.top_edges.copy(), stage.top_triangles.copy()
+    edges[k] = ((n, k), new_edge)
+    tris[_edge_at(k1, k)] = ((n, k1, k), alpha)
     for l in range(k1 + 1, n):
-        step = handle.vcompose(
-            handle.whisker_right(tris[(n, l, k1)], edges[(k1, k)]), alpha
-        )
-        tris[(n, l, k)] = handle.vcompose(
-            handle.whisker_left(edges[(n, l)], handle.invert_cell(tris[(l, k1, k)])),
-            step,
-        )
-    # the labels of the face d_n sort first and stay; those at vertex n
-    # follow, listed in sorted order
-    return FiltrationStage(
-        n,
-        k,
-        stage.vertices,
-        stage.edges[: comb(n, 2)] + tuple(((n, l), edges[(n, l)]) for l in range(k, n)),
-        stage.triangles[: comb(n, 3)]
-        + tuple(((n, l, m), tris[(n, l, m)]) for l in range(k1, n) for m in range(k, l)),
-    )
+        at = _edge_at(l, k)  # (n, l, k); (n, l, k+1) follows it
+        step = handle.vcompose(handle.whisker_right(tris[at + 1][1], below), alpha)
+        inv = handle.invert_cell(stage.base.triangles[_triangle_at(l, k1, k)][1])  # u_{l,k+1,k}
+        tris[at] = ((n, l, k), handle.vcompose(handle.whisker_left(edges[l][1], inv), step))
+    return FiltrationStage(k, stage.vertices, stage.base, edges, tris)
 
 
 def initial_stage(handle, base: SimplexLabel, top_vertex, last_edge) -> FiltrationStage:
     """F_{n-1}: a full (n-1)-simplex plus the edge (n, n-1)."""
     n = base.n + 1
-    if handle.arrow_src(last_edge) != base.vertices[-1] or handle.arrow_tgt(
-        last_edge
-    ) != top_vertex:
+    ends = handle.arrow_src(last_edge), handle.arrow_tgt(last_edge)
+    if ends != (base.vertices[-1], top_vertex):
         raise ValueError("edge does not connect the base simplex to the top vertex")
-    # (n, n-1) sorts after every edge of the base
-    return FiltrationStage(
-        n,
-        n - 1,
-        base.vertices + (top_vertex,),
-        base.edges + (((n, n - 1), last_edge),),
-        base.triangles,
-    )
+    edges = [None] * (n - 1) + [((n, n - 1), last_edge)]
+    return FiltrationStage(n - 1, base.vertices + (top_vertex,), base, edges, [None] * comb(n, 2))
 
 
 def nerve_levels(handle: TableHandle, top: int) -> Iterator[list[SimplexLabel]]:
@@ -588,14 +588,13 @@ def nerve_levels(handle: TableHandle, top: int) -> Iterator[list[SimplexLabel]]:
             for e in handle.arrows_from(base.vertices[-1]):
                 stages = [initial_stage(handle, base, handle.arrow_tgt(e), e)]
                 for k1 in range(n - 1, 0, -1):
-                    nxt = []
-                    for st in stages:
-                        edges = st.edge_map()
-                        target = handle.compose(edges[(n, k1)], edges[(k1, k1 - 1)])
-                        for alpha in handle.cells_into(target):
-                            nxt.append(reconstruct_stage(handle, st, alpha))
-                    stages = nxt
-                out.extend(stage_to_simplex(st) for st in stages)
+                    below = base.edges[_edge_at(k1, k1 - 1)][1]
+                    stages = [
+                        reconstruct_stage(handle, st, alpha)
+                        for st in stages
+                        for alpha in handle.cells_into(handle.compose(st.top_edges[k1][1], below))
+                    ]
+                out.extend(map(stage_to_simplex, stages))
         level = out
         yield level
 

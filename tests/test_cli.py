@@ -418,6 +418,18 @@ def test_a_repeated_name_is_structural(tmp_path, name, table, verb):
     assert result.output == f"error: payload.{table}[{len(names)}]: repeated name {names[0]!r}\n"
 
 
+@pytest.mark.parametrize("verb", [("verify",), ("nerve", "--level", "2")], ids=["verify", "nerve"])
+def test_a_repeated_key_is_structural(tmp_path, verb):
+    # a parser that kept the last of two "1" entries would read the valid
+    # Z/4 delooping, as if the first entry were not there
+    text = (FIXTURES / "two_category_delooping_z4.json").read_text()
+    path = tmp_path / "repeated_key.json"
+    path.write_text(text.replace('"cells": {', '"cells": {"1": ["id", "nowhere"], ', 1))
+    result = run(verb[0], path, *verb[1:])
+    assert result.exit_code == 2
+    assert result.output == "error: repeated key '1' in a JSON object\n"
+
+
 def test_a_morphism_between_broken_representations_is_refused(tmp_path):
     _, payload = load_document((FIXTURES / "bad_ruth_cocycle.json").read_text())
     m = identity_morphism(decode_ruth(payload))

@@ -38,8 +38,17 @@ from glv.nerve import (
     validate_horn,
     validate_simplex,
 )
+from glv.reports import Violation
 from glv.sampling import sample_gl_simplex, sample_table_simplex
-from glv.twocat import delooping, from_groupoid, monoid_delooping
+from glv.twocat import (
+    Fin2Cat,
+    Fin2Groupoid,
+    delooping,
+    from_groupoid,
+    monoid_delooping,
+    verify_fin2cat,
+)
+from test_cli import _idempotent_category
 
 GL = GLHandle()
 
@@ -445,6 +454,114 @@ def test_enumeration_at_level_four_is_coskeletal():
     for s in level4[:: 40]:
         assert validate_simplex(h, s) == []
         assert coskeletal_extend(h, facets(h, s)) == s
+
+
+def _reference_levels(cat, top: int):
+    """The nerve level by level, each stage a pair of label dicts extended
+    down the filtration through the checked Fin2Cat operations: the
+    reference for nerve_levels, which reads the tables by position."""
+
+    def inverse(r):
+        if isinstance(cat, Fin2Groupoid):
+            return cat.inv2[r]
+        f, g = cat.cells[r]
+        for s in cat.cells_between(g, f):
+            if cat.vcompose(s, r) == cat.unit_cell[f] and cat.vcompose(r, s) == cat.unit_cell[g]:
+                return s
+        raise NoFillerError(Violation("inverse law", (r,)))
+
+    level = [make_simplex((x,), {}, {}) for x in cat.objects]
+    yield level
+    for n in range(1, top + 1):
+        out = []
+        for base in level:
+            for e in (f for f, (x, _) in cat.arrows.items() if x == base.vertices[-1]):
+                stages = [({**base.edge_map(), (n, n - 1): e}, base.triangle_map())]
+                for k1 in range(n - 1, 0, -1):
+                    k, extended = k1 - 1, []
+                    for edges, tris in stages:
+                        target = cat.compose(edges[(n, k1)], edges[(k1, k)])
+                        for alpha in (r for r, (_, g) in cat.cells.items() if g == target):
+                            ed = {**edges, (n, k): cat.cell_src(alpha)}
+                            tr = {**tris, (n, k1, k): alpha}
+                            for l in range(k1 + 1, n):
+                                right = cat.hcompose(tr[(n, l, k1)], cat.unit_cell[ed[(k1, k)]])
+                                inv = inverse(tr[(l, k1, k)])
+                                left = cat.hcompose(cat.unit_cell[ed[(n, l)]], inv)
+                                tr[(n, l, k)] = cat.vcompose(left, cat.vcompose(right, alpha))
+                            extended.append((ed, tr))
+                    stages = extended
+                vertices = base.vertices + (cat.arrow_tgt(e),)
+                out.extend(make_simplex(vertices, ed, tr) for ed, tr in stages)
+        level = out
+        yield level
+
+
+def _levels_and_error(levels):
+    """The levels an enumeration yields, and the arguments of the
+    NoFillerError that stops it, if one does."""
+    got = []
+    try:
+        for simplices in levels:
+            got.append(simplices)
+    except NoFillerError as e:
+        return got, e.args
+    return got, None
+
+
+def _category(source):
+    if source == "idempotent":
+        return decode_two_category(_idempotent_category())
+    if isinstance(source, int):
+        return cyclic_handle(source).cat
+    _, payload = load_document((Path(__file__).parent / "fixtures" / source).read_text())
+    return decode_two_category(payload)
+
+
+@pytest.mark.parametrize(
+    "source", ["two_category_delooping_z4.json", "two_category_pair.json", 2, 3, "idempotent"]
+)
+def test_nerve_levels_match_the_reference_enumeration(source):
+    # the same simplices in the same order, level by level; over the
+    # idempotent category both stop at level 3 on the same cell
+    cat = _category(source)
+    assert verify_fin2cat(cat) == []
+    got = _levels_and_error(nerve_levels(TableHandle(cat), 4))
+    assert got == _levels_and_error(_reference_levels(cat, 4))
+    levels, error = got
+    if source == "idempotent":
+        assert len(levels) == 3 and error == (Violation("inverse law", ("e",)),)
+    else:
+        assert len(levels) == 5 and error is None
+
+
+def test_nerve_levels_check_each_table_entry_once(monkeypatch):
+    # over a verified category enumeration composes by table reads alone,
+    # and looks for the inverse of each cell at most once; the monoid
+    # delooping of Z/3 is a 2-category whose cells are invertible but carry
+    # no inverse table
+    els = ["0", "1", "2"]
+    cat = monoid_delooping(els, {(a, b): str((int(a) + int(b)) % 3) for a in els for b in els}, "0")
+    assert verify_fin2cat(cat) == []
+    handle = TableHandle(cat)
+    calls, inverted = Counter(), set()
+
+    def counted(owner, name, record):
+        original = getattr(owner, name)
+
+        def wrapper(self, *args):
+            record(name, args)
+            return original(self, *args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("compose", "vcompose", "hcompose", "cells_between"):
+        counted(Fin2Cat, name, lambda name, args: calls.update([name]))
+    counted(TableHandle, "invert_cell", lambda name, args: inverted.add(args))
+    levels = list(nerve_levels(handle, 4))
+    assert [len(simplices) for simplices in levels] == [1, 1, 3, 27, 729]
+    assert len(inverted) == 3
+    assert calls == {"cells_between": 3}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
