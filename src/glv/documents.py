@@ -688,20 +688,41 @@ def dump_document(kind: str, payload: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+class _RepeatedKey(Exception):
+    """A JSON object repeats a key: load_document reads the text again to name it."""
+
+
 def _distinct_keys(pairs: list) -> dict:
     # json.loads would keep the last of repeated keys and drop the others
     d = dict(pairs)
     if len(d) < len(pairs):
-        keys = [key for key, _ in pairs]
-        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
-        raise DocumentError(f"repeated key {repeated!r} in a JSON object")
+        raise _RepeatedKey
     return d
+
+
+def _first_repeat(obj, path: str):
+    """(path, key) of the first object with a repeated key, in the order the
+    parser closes objects (members first), or None.  Objects are tuples of
+    their pairs here; members of the document are named as in "payload.cells"."""
+    keyed = isinstance(obj, tuple)
+    if not keyed and not isinstance(obj, list):
+        return None
+    for k, v in obj if keyed else enumerate(obj):
+        sub = (k if path == "document" else f"{path}.{k}") if keyed else f"{path}[{k}]"
+        if found := _first_repeat(v, sub):
+            return found
+    keys = [k for k, _ in obj] if keyed else []
+    return next(((path, k) for i, k in enumerate(keys) if k in keys[:i]), None)
 
 
 def load_document(text: str):
     """Parse a document, returning (kind, payload) without decoding the payload."""
     try:
-        doc = json.loads(text, object_pairs_hook=_distinct_keys)
+        try:
+            doc = json.loads(text, object_pairs_hook=_distinct_keys)
+        except _RepeatedKey:
+            path, key = _first_repeat(json.loads(text, object_pairs_hook=tuple), "document")
+            raise DocumentError(f"{path}: repeated key {key!r}") from None
     except json.JSONDecodeError as e:
         raise DocumentError(f"not valid JSON: {e}") from e
     d = _fields(doc, "document", ("kind", "version", "payload"))

@@ -4,15 +4,38 @@ Objects and arrows are strings.  The composition table maps composable pairs
 (h, g) with src(h) = tgt(g) to h . g.  The nerve at level n is the set of
 chains of n composable arrows, stored source-first: chain[i] goes from vertex
 i to vertex i + 1.
+
+Every string of composable arrows or 2-cells in glv is found by one walk,
+chains, over a table of ends {name: (src, tgt)}; grouped is its index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .reports import Violation, gate, require
+
+
+def grouped(pairs: Iterable[tuple[Hashable, object]]) -> dict[Hashable, list]:
+    """The values of (key, value) pairs listed under their key, in the order
+    the pairs come."""
+    groups: dict[Hashable, list] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
+def chains(ends: Mapping[str, tuple], n: int) -> Iterator[tuple[str, ...]]:
+    """The n-tuples (x1, ..., xn), n >= 1, with src(xi) = tgt(xi+1) of a table
+    {name: (src, tgt)}, lazily, in the order of a filtered scan of its n-th
+    product; indexed by endpoint value, declared objects or not."""
+    into = grouped((t, x) for x, (_, t) in ends.items())
+    walk: Iterator[tuple[str, ...]] = ((x,) for x in ends)
+    for _ in range(n - 1):
+        walk = (c + (x,) for c in walk for x in into.get(ends[c[-1]][0], ()))
+    return walk
 
 
 @dataclass
@@ -42,17 +65,10 @@ class FinGroupoid:
         return self.inv[a]
 
     def composable_pairs(self) -> Iterator[tuple[str, str]]:
-        for h, g in product(self.arrows, self.arrows):
-            if self.src(h) == self.tgt(g):
-                yield h, g
+        return chains(self.arrows, 2)
 
     def composable_triples(self) -> Iterator[tuple[str, str, str]]:
-        for k, h in product(self.arrows, self.arrows):
-            if self.src(k) != self.tgt(h):
-                continue
-            for g in self.arrows:
-                if self.src(h) == self.tgt(g):
-                    yield k, h, g
+        return chains(self.arrows, 3)
 
 
 def verify_groupoid(g: FinGroupoid) -> list[Violation]:
@@ -67,9 +83,9 @@ def _groupoid_tables(g: FinGroupoid) -> Iterator[Violation]:
         if g.arrows.get(g.units.get(x)) != (x, x):
             yield Violation("unit law", (x,))
     for (h, a), r in g.comp.items():
-        if g.src(h) != g.tgt(a):
+        if h not in g.arrows or a not in g.arrows or g.src(h) != g.tgt(a):
             yield Violation("composability", (h, a))
-        elif g.arrows[r] != (g.src(a), g.tgt(h)):
+        elif g.arrows.get(r) != (g.src(a), g.tgt(h)):
             yield Violation("endpoint", (h, a))
     for h, a in g.composable_pairs():
         if (h, a) not in g.comp:
@@ -178,12 +194,8 @@ def nerve1(g: FinGroupoid, n: int) -> list[Chain]:
     """All chains of n composable arrows; level 0 lists the objects."""
     if n == 0:
         return [(x,) for x in g.objects]
-    chains: list[Chain] = [(a,) for a in g.arrows]
-    for _ in range(n - 1):
-        chains = [
-            c + (a,) for c in chains for a in g.arrows if g.src(a) == g.tgt(c[-1])
-        ]
-    return chains
+    # source-first: chains of the opposite table
+    return list(chains({a: (t, s) for a, (s, t) in g.arrows.items()}, n))
 
 
 def chain_vertices(g: FinGroupoid, c: Chain) -> tuple[str, ...]:

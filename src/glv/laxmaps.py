@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .groupoid import chains
 from .nerve import SimplexLabel, degeneracy, face, make_simplex, nerve_levels
 from .reports import Violation, gate, missing, require
 from .twocat import Fin2Cat
@@ -116,25 +117,17 @@ def _functor_laws(fun: LaxFunctor, target) -> Iterator[Violation]:
         if lhs != rhs:
             yield Violation("naturality", (s, r))
 
-    for h in c.arrows:
-        for g in c.arrows:
-            if c.arrow_src(h) != c.arrow_tgt(g):
-                continue
-            for f in c.arrows:
-                if c.arrow_src(g) != c.arrow_tgt(f):
-                    continue
-                gf = c.comp1[(g, f)]
-                hg = c.comp1[(h, g)]
-                lhs = target.vcompose(
-                    target.whisker_left(fun.arrow_map[h], fun.comp_cell[(g, f)]),
-                    fun.comp_cell[(h, gf)],
-                )
-                rhs = target.vcompose(
-                    target.whisker_right(fun.comp_cell[(h, g)], fun.arrow_map[f]),
-                    fun.comp_cell[(hg, f)],
-                )
-                if lhs != rhs:
-                    yield Violation("coherence", (h, g, f))
+    for h, g, f in chains(c.arrows, 3):
+        lhs = target.vcompose(
+            target.whisker_left(fun.arrow_map[h], fun.comp_cell[(g, f)]),
+            fun.comp_cell[(h, c.comp1[(g, f)])],
+        )
+        rhs = target.vcompose(
+            target.whisker_right(fun.comp_cell[(h, g)], fun.arrow_map[f]),
+            fun.comp_cell[(c.comp1[(h, g)], f)],
+        )
+        if lhs != rhs:
+            yield Violation("coherence", (h, g, f))
 
 
 @dataclass

@@ -30,6 +30,7 @@ from operator import ne
 from typing import Iterator, Mapping, Sequence
 
 from . import gl2
+from .groupoid import grouped
 from .reports import Violation, gate
 from .twocat import Fin2Cat, Fin2Groupoid, find_quasi_inverse
 
@@ -51,12 +52,8 @@ class TableHandle:
 
     def __init__(self, cat: Fin2Cat):
         self.cat = cat
-        self._arrows_from: dict = {}
-        for f, (x, _) in cat.arrows.items():
-            self._arrows_from.setdefault(x, []).append(f)
-        self._cells_into: dict = {}
-        for r, (_, g) in cat.cells.items():
-            self._cells_into.setdefault(g, []).append(r)
+        self._arrows_from = grouped((x, f) for f, (x, _) in cat.arrows.items())
+        self._cells_into = grouped((g, r) for r, (_, g) in cat.cells.items())
         self._inverse = dict(cat.inv2) if isinstance(cat, Fin2Groupoid) else {}
 
     def id_arrow(self, x):

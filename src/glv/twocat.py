@@ -6,10 +6,12 @@ composition tables for 2-cells (defined exactly on the composable pairs) and
 unit tables.  A Fin2Groupoid adds a vertical inversion table; quasi-inverses
 of arrows are found by search.
 
-The verifiers gate their stages: endpoints, units, totality of the tables,
-then the laws.  The law stage reads the tables directly, without the
-composability checks of compose/vcompose/hcompose, because the gate has
-already checked every pair it looks up.
+Composable strings are groupoid.chains over arrows, over 2-cells
+(vertically), and over 2-cells with the ends of their source arrows
+(horizontally).  The verifiers gate their stages: endpoints, units, exactness
+of the tables, then the laws.  The law stage reads the tables directly,
+without the composability checks of compose/vcompose/hcompose, because the
+gate has already checked every pair it looks up.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Iterable, Iterator, Mapping
 
-from .groupoid import FinGroupoid
+from .groupoid import FinGroupoid, chains, grouped
 from .reports import Violation, gate
 
 
@@ -67,20 +69,18 @@ class Fin2Cat:
     def arrows_between(self, x: str, y: str) -> list[str]:
         return [f for f, (a, b) in self.arrows.items() if a == x and b == y]
 
+    def hcell_ends(self) -> dict[str, tuple[str, str]]:
+        """Each cell with the ends of its source arrow, as hcomp composes it."""
+        return {r: self.arrows[f] for r, (f, _) in self.cells.items()}
+
     def composable_arrow_pairs(self):
-        for g, f in product(self.arrows, self.arrows):
-            if self.arrow_src(g) == self.arrow_tgt(f):
-                yield g, f
+        return chains(self.arrows, 2)
 
     def vcomposable_cell_pairs(self):
-        for s, r in product(self.cells, self.cells):
-            if self.cell_tgt(r) == self.cell_src(s):
-                yield s, r
+        return chains(self.cells, 2)
 
     def hcomposable_cell_pairs(self):
-        for s, r in product(self.cells, self.cells):
-            if self.arrow_src(self.cell_src(s)) == self.arrow_tgt(self.cell_src(r)):
-                yield s, r
+        return chains(self.hcell_ends(), 2)
 
 
 @dataclass
@@ -113,95 +113,70 @@ def _endpoints(c: Fin2Cat) -> Iterator[Violation]:
 
 
 def _tables(c: Fin2Cat) -> Iterator[Violation]:
-    """Totality of the tables on composable pairs."""
-    for g, f in c.composable_arrow_pairs():
-        r = c.comp1.get((g, f))
-        if r is None or c.arrows.get(r) != (c.arrow_src(f), c.arrow_tgt(g)):
-            yield Violation("composability", (g, f))
-    for s, r in c.vcomposable_cell_pairs():
-        v = c.vcomp.get((s, r))
-        if v is None or c.cells.get(v) != (c.cell_src(r), c.cell_tgt(s)):
-            yield Violation("composability", (s, r), "vertical")
-    for s, r in c.hcomposable_cell_pairs():
-        h = c.hcomp.get((s, r))
-        # .get: a missing arrow composite is already reported above
-        expect = (
-            c.comp1.get((c.cell_src(s), c.cell_src(r))),
-            c.comp1.get((c.cell_tgt(s), c.cell_tgt(r))),
-        )
-        if h is None or c.cells.get(h) != expect:
-            yield Violation("composability", (s, r), "horizontal")
+    """Exactness of the tables: an entry with the composite's ends on each
+    composable pair, and none on any other pair."""
+    arrows, cells, comp1 = c.arrows, c.cells, c.comp1
+    # .get: a missing arrow composite is reported with the first table
+    hcomposite = lambda s, r: tuple(comp1.get(fs) for fs in zip(cells[s], cells[r]))
+    for table, ends, values, detail, composite in (
+        (comp1, arrows, arrows, "", lambda g, f: (arrows[f][0], arrows[g][1])),
+        (c.vcomp, cells, cells, "vertical", lambda s, r: (cells[r][0], cells[s][1])),
+        (c.hcomp, c.hcell_ends(), cells, "horizontal", hcomposite),
+    ):
+        for s, r in chains(ends, 2):
+            if values.get(table.get((s, r))) != composite(s, r):
+                yield Violation("composability", (s, r), detail)
+        for s, r in table:
+            if s not in ends or r not in ends or ends[s][0] != ends[r][1]:
+                yield Violation("composability", (s, r), detail)
 
 
 def _2category_laws(c: Fin2Cat) -> Iterator[Violation]:
     """Every law instance, in a fixed order, read straight off the tables.
 
-    The gate runs this stage only after endpoints, units and totality have
+    The gate runs this stage only after endpoints, units and exactness have
     passed, so each lookup below is of a composable pair and is present.
-    Composable partners come from indexes built here, each in table order;
-    they are not kept on c, whose tables may change after construction."""
+    Composable partners come from groupoid.chains, in the order of a scan of
+    the tables; only interchange groups its vertical pairs here."""
     arrows, cells = c.arrows, c.cells
     comp1, vcomp, hcomp = c.comp1, c.vcomp, c.hcomp
     unit_arrow, unit_cell = c.unit_arrow, c.unit_cell
-    arrows_into: dict[str, list[str]] = {x: [] for x in c.objects}
-    for f, (_, y) in arrows.items():
-        arrows_into[y].append(f)
-    cells_into: dict[str, list[str]] = {f: [] for f in arrows}  # r: _ => f
-    cells_out: dict[str, list[str]] = {f: [] for f in arrows}  # r: f => _
-    cells_over: dict[str, list[str]] = {x: [] for x in c.objects}  # r between arrows into x
-    cell_src_obj: dict[str, str] = {}
-    for r, (f, g) in cells.items():
-        cells_into[g].append(r)
-        cells_out[f].append(r)
-        x, y = arrows[f]
-        cells_over[y].append(r)
-        cell_src_obj[r] = x
-    arrow_pairs = [(g, f) for g, (y, _) in arrows.items() for f in arrows_into[y]]
-    cell_pairs = [(s, r) for s, (f, _) in cells.items() for r in cells_into[f]]
+    hends = c.hcell_ends()
 
-    for g, f in arrow_pairs:
+    for g, f in chains(arrows, 2):
         gf = comp1[(g, f)]
         if comp1[(gf, unit_arrow[arrows[f][0]])] != gf:
             yield Violation("unit law", (gf,))
     for f, (x, y) in arrows.items():
         if comp1[(f, unit_arrow[x])] != f or comp1[(unit_arrow[y], f)] != f:
             yield Violation("unit law", (f,))
-    for h, g in arrow_pairs:
-        hg = comp1[(h, g)]
-        for f in arrows_into[arrows[g][0]]:
-            if comp1[(hg, f)] != comp1[(h, comp1[(g, f)])]:
-                yield Violation("associativity", (h, g, f))
+    for h, g, f in chains(arrows, 3):
+        if comp1[(comp1[(h, g)], f)] != comp1[(h, comp1[(g, f)])]:
+            yield Violation("associativity", (h, g, f))
     for r, (f, g) in cells.items():
         if vcomp[(r, unit_cell[f])] != r or vcomp[(unit_cell[g], r)] != r:
             yield Violation("unit law", (r,), "vertical")
-    for t, s in cell_pairs:
-        ts = vcomp[(t, s)]
-        for r in cells_into[cells[s][0]]:
-            if vcomp[(ts, r)] != vcomp[(t, vcomp[(s, r)])]:
-                yield Violation("associativity", (t, s, r), "vertical")
-    for s in cells:
-        for r in cells_over[cell_src_obj[s]]:
-            sr = hcomp[(s, r)]
-            for q in cells_over[cell_src_obj[r]]:
-                if hcomp[(sr, q)] != hcomp[(s, hcomp[(r, q)])]:
-                    yield Violation("associativity", (s, r, q), "horizontal")
+    for t, s, r in chains(cells, 3):
+        if vcomp[(vcomp[(t, s)], r)] != vcomp[(t, vcomp[(s, r)])]:
+            yield Violation("associativity", (t, s, r), "vertical")
+    for s, r, q in chains(hends, 3):
+        if hcomp[(hcomp[(s, r)], q)] != hcomp[(s, hcomp[(r, q)])]:
+            yield Violation("associativity", (s, r, q), "horizontal")
+    cells_out = grouped((f, r) for r, (f, _) in cells.items())
     for f, (x, y) in arrows.items():
-        u_src = unit_cell[unit_arrow[x]]
-        u_tgt = unit_cell[unit_arrow[y]]
-        for r in cells_out[f]:
+        u_src, u_tgt = unit_cell[unit_arrow[x]], unit_cell[unit_arrow[y]]
+        for r in cells_out.get(f, ()):
             if hcomp[(r, u_src)] != r or hcomp[(u_tgt, r)] != r:
                 yield Violation("unit law", (r,), "horizontal")
     # identity cells are multiplicative for horizontal composition
-    for g, f in arrow_pairs:
+    for g, f in chains(arrows, 2):
         if hcomp[(unit_cell[g], unit_cell[f])] != unit_cell[comp1[(g, f)]]:
             yield Violation("unit law", (g, f), "horizontal composite of identity cells")
     # interchange: (s', s) and (r', r) vertical pairs with s after r horizontally
-    cell_pairs_over: dict[str, list[tuple]] = {x: [] for x in c.objects}
-    for rp, r in cell_pairs:
-        cell_pairs_over[arrows[cells[r][0]][1]].append((rp, r, vcomp[(rp, r)]))
-    for sp, s in cell_pairs:
+    pairs_over = grouped((hends[r][1], (rp, r, vcomp[(rp, r)])) for rp, r in chains(cells, 2))
+    for sp, s in chains(cells, 2):
         sps = vcomp[(sp, s)]
-        for rp, r, rpr in cell_pairs_over[cell_src_obj[s]]:
+        for rp, r, rpr in pairs_over.get(hends[s][0], ()):
             if hcomp[(sps, rpr)] != vcomp[(hcomp[(sp, rp)], hcomp[(s, r)])]:
                 yield Violation("interchange", (sp, s, rp, r))
 

@@ -427,7 +427,34 @@ def test_a_repeated_key_is_structural(tmp_path, verb):
     path.write_text(text.replace('"cells": {', '"cells": {"1": ["id", "nowhere"], ', 1))
     result = run(verb[0], path, *verb[1:])
     assert result.exit_code == 2
-    assert result.output == "error: repeated key '1' in a JSON object\n"
+    assert result.output == "error: payload.cells: repeated key '1'\n"
+
+
+@pytest.mark.parametrize("verb", [("verify",), ("nerve", "--level", "2")], ids=["verify", "nerve"])
+@pytest.mark.parametrize(
+    "table, entry, line",
+    [
+        ("compose", ["a|b", "a|b", "a|a"], "composability fails at ('a|b', 'a|b')"),
+        (
+            "vcompose",
+            ["id[a|b]", "id[a|a]", "id[a|a]"],
+            "composability fails at ('id[a|b]', 'id[a|a]'): vertical",
+        ),
+        (
+            "hcompose",
+            ["id[a|b]", "id[a|b]", "id[a|a]"],
+            "composability fails at ('id[a|b]', 'id[a|b]'): horizontal",
+        ),
+    ],
+    ids=["compose", "vcompose", "hcompose"],
+)
+def test_a_table_entry_off_the_composable_pairs_is_a_violation(tmp_path, verb, table, entry, line):
+    # the tables are defined exactly on the composable pairs: an extra entry
+    # on a pair that does not compose is not ignored
+    path = _mutated(tmp_path, "two_category_pair.json", lambda p: p[table].append(entry))
+    result = run(verb[0], path, *verb[1:])
+    assert result.exit_code == 1
+    assert result.output == line + "\n"
 
 
 def test_a_morphism_between_broken_representations_is_refused(tmp_path):

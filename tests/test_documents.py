@@ -328,3 +328,20 @@ def test_missing_edge_coverage_is_structural():
     del payload["edges"]["2,0"]
     with pytest.raises(DocumentError):
         decode_simplex(payload)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"kind": "groupoid", "kind": "ruth"}', "document: repeated key 'kind'"),
+        ('{"payload": {"fibers": [1, {"d": 1, "d": 2}]}}', "payload.fibers[1]: repeated key 'd'"),
+        # the parser closes the inner object first, so its repeat is the one named
+        ('{"payload": {"a": {"b": 1, "b": 2}, "a": 3}}', "payload.a: repeated key 'b'"),
+        ('{"payload": {"a": 1, "a": 2}, ', "not valid JSON: "),
+    ],
+    ids=["document", "in an array", "innermost first", "then not JSON"],
+)
+def test_a_repeated_key_is_named_at_its_object(text, error):
+    with pytest.raises(DocumentError) as e:
+        load_document(text)
+    assert str(e.value).startswith(error)

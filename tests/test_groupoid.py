@@ -1,10 +1,14 @@
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from glv.groupoid import (
+    FinGroupoid,
     action_groupoid,
     chain_vertices,
+    chains,
     cyclic_group,
     nerve1,
     nerve1_degeneracy,
@@ -13,6 +17,7 @@ from glv.groupoid import (
     projection_to_pair,
     verify_groupoid,
 )
+from glv.reports import Violation
 
 
 def test_pair_groupoid_counts():
@@ -91,3 +96,51 @@ def test_chain_vertices():
     c = ("1|0", "2|1")
     assert chain_vertices(g, c) == ("0", "1", "2")
     assert nerve1_face(g, c, 1) == ("2|0",)
+
+
+def reference_chains(ends, n):
+    """The definition: the n-th product of the table, filtered to strings
+    with src(x_i) = tgt(x_i+1)."""
+    return [
+        c
+        for c in product(ends, repeat=n)
+        if all(ends[c[i]][0] == ends[c[i + 1]][1] for i in range(n - 1))
+    ]
+
+
+ENDS = st.dictionaries(
+    st.text("fgh", min_size=1, max_size=2),
+    st.tuples(st.sampled_from("xyz"), st.sampled_from("xyz")),
+    max_size=6,
+)
+
+
+@given(ENDS)
+def test_chains_are_the_filtered_product_in_its_order(ends):
+    for n in range(1, 5):
+        walk = chains(ends, n)
+        assert iter(walk) is walk
+        assert list(walk) == reference_chains(ends, n)
+
+
+@given(ENDS)
+def test_nerve1_keeps_the_source_first_order(ends):
+    # endpoints outside the object list are walked all the same
+    g = FinGroupoid(("x",), ends, {}, {}, {})
+    for n in range(1, 5):
+        assert nerve1(g, n) == [
+            c
+            for c in product(ends, repeat=n)
+            if all(g.tgt(c[i]) == g.src(c[i + 1]) for i in range(n - 1))
+        ]
+
+
+@pytest.mark.parametrize(
+    "key, value, law",
+    [(("a|b", "b|a"), "zzz", "endpoint"), (("q", "b|a"), "a|a", "composability")],
+    ids=["value", "key"],
+)
+def test_a_comp_entry_naming_no_arrow_is_reported(key, value, law):
+    g = pair_groupoid("ab")
+    g.comp[key] = value
+    assert verify_groupoid(g) == [Violation(law, key)]
