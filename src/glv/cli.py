@@ -33,7 +33,6 @@ from .reports import LawError, require
 from .ruth import (
     double_rep,
     lines_projection_rep,
-    lines_projection_scalars,
     pseudofunctor_to_ruth,
     ruth_to_pseudofunctor,
     verify_morphism,
@@ -261,10 +260,8 @@ def _generate(example, seed, points, n, lines) -> tuple[str, dict]:
         rng = random.Random(seed)
         r = rand_double_ruth(rng, pair_groupoid(["p0", "p1", "p2"]))
         return "ruth", docs.encode_ruth(r)
-    data = _parse_lines(lines)
-    scalars = lines_projection_scalars(data)
-    g = pair_groupoid([f"l{i}" for i in range(len(data))])
-    return "ruth", docs.encode_ruth(double_rep(g, scalars))
+    r = lines_projection_rep(_parse_lines(lines))
+    return "ruth", docs.encode_ruth(double_rep(r.groupoid, r.rho0))
 
 
 @main.command()

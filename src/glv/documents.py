@@ -725,6 +725,8 @@ def load_document(text: str):
             raise DocumentError(f"{path}: repeated key {key!r}") from None
     except json.JSONDecodeError as e:
         raise DocumentError(f"not valid JSON: {e}") from e
+    except RecursionError:
+        raise DocumentError("document is nested too deeply to read") from None
     d = _fields(doc, "document", ("kind", "version", "payload"))
     kind = _as_str(d["kind"], "document.kind")
     version = _as_str(d["version"], "document.version")

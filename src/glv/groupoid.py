@@ -38,6 +38,17 @@ def chains(ends: Mapping[str, tuple], n: int) -> Iterator[tuple[str, ...]]:
     return walk
 
 
+def _stray_pairs(
+    ends: Mapping[str, tuple], table: Iterable, detail: str = ""
+) -> Iterator[Violation]:
+    """A composability violation at each key (s, r) of a pair-keyed table that
+    is not a composable pair of the table of ends {name: (src, tgt)}, in
+    table order."""
+    for s, r in table:
+        if s not in ends or r not in ends or ends[s][0] != ends[r][1]:
+            yield Violation("composability", (s, r), detail)
+
+
 @dataclass
 class FinGroupoid:
     objects: tuple[str, ...]

@@ -16,9 +16,10 @@ homotopies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
-from .groupoid import chains
+from .groupoid import _stray_pairs, chains
 from .nerve import SimplexLabel, degeneracy, face, make_simplex, nerve_levels
 from .reports import Violation, gate, missing, require
 from .twocat import Fin2Cat
@@ -51,11 +52,14 @@ def strict_functor(source: Fin2Cat, target, obj_map, arrow_map, cell_map) -> Lax
 def verify_lax_functor(fun: LaxFunctor, target) -> list[Violation]:
     c = fun.source
     return gate(
-        missing(
-            (c.objects, fun.obj_map, "object has no image"),
-            (c.arrows, fun.arrow_map, "arrow has no image"),
-            (c.cells, fun.cell_map, "2-cell has no image"),
-            (c.composable_arrow_pairs(), fun.comp_cell, "no comparison cell"),
+        chain(
+            missing(
+                (c.objects, fun.obj_map, "object has no image"),
+                (c.arrows, fun.arrow_map, "arrow has no image"),
+                (c.cells, fun.cell_map, "2-cell has no image"),
+                (c.composable_arrow_pairs(), fun.comp_cell, "no comparison cell"),
+            ),
+            _stray_pairs(c.arrows, fun.comp_cell),
         ),
         _image_endpoints(fun, target),
         _comparison_endpoints(fun, target),

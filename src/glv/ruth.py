@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .chain2 import ChainMap2, Fiber2, HomologyDims, _trusted, homology, is_quasi_iso
 from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows, identity_cell
-from .groupoid import FinGroupoid
+from .groupoid import FinGroupoid, _stray_pairs
 from .laxmaps import LaxFunctor, LaxTransformation
 from .linalg import RatMatrix
 from .reports import LawError, Violation, gate, missing
@@ -46,28 +46,44 @@ def _in_the(side: str, violations: Iterable[Violation]) -> Iterator[Violation]:
 
 
 def verify_ruth(r: Ruth2) -> list[Violation]:
-    g = r.groupoid
     return gate(
+        _tables(r, "pair has no correction"),
+        _matrices(r),
+        _units(r, "unit arrow must act as the identity", "correction at a unit must vanish"),
+        chain(_composition(r), (Violation("cocycle", t) for t in _cocycle_sites(r))),
+    )
+
+
+def _tables(r: Ruth2, pair_detail: str) -> Iterator[Violation]:
+    """Totality of r's tables, then a correction keyed by anything other
+    than a composable pair."""
+    g = r.groupoid
+    return chain(
         missing(
             (g.objects, r.fibers, "object has no fiber"),
             (g.arrows, r.rho1.keys() & r.rho0.keys(), "arrow has no action"),
-            (g.composable_pairs(), r.gamma, "pair has no correction"),
+            (g.composable_pairs(), r.gamma, pair_detail),
         ),
-        chain(
-            _chain_maps(
-                ((a, r.fibers[x], r.fibers[y]) for a, (x, y) in g.arrows.items()),
-                r.rho1,
-                r.rho0,
-                "action matrices",
-            ),
-            (
-                Violation("shape", (h, a), "correction matrix")
-                for (h, a), c in r.gamma.items()
-                if (c.rows, c.cols) != (r.fibers[g.tgt(h)].dim1, r.fibers[g.src(a)].dim0)
-            ),
+        _stray_pairs(g.arrows, r.gamma),
+    )
+
+
+def _matrices(r: Ruth2) -> Iterator[Violation]:
+    """The shape and chain condition of each action, then the shape of each
+    correction."""
+    g = r.groupoid
+    return chain(
+        _chain_maps(
+            ((a, r.fibers[x], r.fibers[y]) for a, (x, y) in g.arrows.items()),
+            r.rho1,
+            r.rho0,
+            "action matrices",
         ),
-        _units(r, "unit arrow must act as the identity", "correction at a unit must vanish"),
-        chain(_composition(r), (Violation("cocycle", t) for t in _cocycle_sites(r))),
+        (
+            Violation("shape", (h, a), "correction matrix")
+            for (h, a), c in r.gamma.items()
+            if (c.rows, c.cols) != (r.fibers[g.tgt(h)].dim1, r.fibers[g.src(a)].dim0)
+        ),
     )
 
 
@@ -149,15 +165,22 @@ def verify_pseudofunctor(p: PseudoFunctorGL) -> list[Violation]:
     latter read as coherence."""
     r = pseudofunctor_to_ruth(p)
     return gate(
-        missing((p.groupoid.composable_pairs(), p.comp_cell, "no comparison cell")),
+        chain(
+            missing((p.groupoid.composable_pairs(), p.comp_cell, "no comparison cell")),
+            _stray_pairs(p.groupoid.arrows, p.comp_cell),
+        ),
         _units(r, "unit arrow image", "comparison cell at a unit"),
         (Violation("coherence", t) for t in _cocycle_sites(r)),
     )
 
 
 def _as_functor(r: Ruth2) -> list[Violation]:
-    """The laws of r read as a pseudo-functor: those its cells are built
-    under, then those of verify_pseudofunctor."""
+    """The laws of r read as a pseudo-functor: its tables and matrices, as
+    verify_ruth checks them, then those its cells are built under, then
+    those of verify_pseudofunctor."""
+    bad = gate(_tables(r, "no comparison cell"), _matrices(r))
+    if bad:
+        return bad
     try:
         return verify_pseudofunctor(ruth_to_pseudofunctor(r))
     except LawError as e:
@@ -448,10 +471,3 @@ def lines_projection_rep(lines: list[tuple[Fraction, Fraction]]) -> Ruth2:
         pair: RatMatrix.zeros(0, 1) for pair in g.composable_pairs()
     }
     return Ruth2(g, fibers, rho1, rho0, gamma)
-
-
-def lines_projection_scalars(lines: list[tuple[Fraction, Fraction]]) -> dict:
-    """The same projection scalars keyed by pair-groupoid arrows, sized for
-    doubling."""
-    r = lines_projection_rep(lines)
-    return {a: RatMatrix.from_rows([[r.rho0[a].entry(0, 0)]]) for a in r.rho0}

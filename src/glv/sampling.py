@@ -3,11 +3,18 @@
 Everything takes an explicit ``random.Random`` so that callers own their seed
 and runs are reproducible.  Generators only ever return valid structures; the
 checked constructors double as assertions.
+
+Three moves, one builder each: transport (``rand_transport``) conjugates by
+per-point changes of basis, and a strict representation is the transport of
+the constant one; gauge (``rand_gauge``) shears by degree-shifting maps;
+perturbation (``perturb_chain_map``) moves a chain map along a homotopy, the
+2-cell of ``rand_cell_on`` and the longer edges of a simplex on a spine.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from .chain2 import (
@@ -23,11 +30,11 @@ from .chain2 import (
     is_quasi_iso,
     kernel_inclusion,
 )
-from .gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
+from .gl2 import GL2Cell, GLArrow, GLObject
 from .groupoid import FinGroupoid
 from .linalg import RatMatrix, basis_completion, hstack, left_inverse, rank, solve, unvec
 from .nerve import GLHandle, SimplexLabel, TableHandle, make_simplex, solve_tetrahedron
-from .ruth import Ruth2, RuthMorphism, compose_morphisms, double_rep
+from .ruth import Ruth2, RuthMorphism, compose_morphisms, double_rep, identity_morphism
 
 
 def rand_rat(rng: random.Random, span: int = 3) -> Fraction:
@@ -86,10 +93,13 @@ def _inclusion_of_minimal(y: Fiber2) -> ChainMap2:
     return ChainMap2(minimal, y, kernel_inclusion(y), cokernel_complement(y))
 
 
-def perturb_chain_map(rng: random.Random, m: ChainMap2, span: int = 2) -> ChainMap2:
-    """A chain map homotopic to m (same fibers, random homotopy applied)."""
+def perturb_chain_map(
+    rng: random.Random, m: ChainMap2, span: int = 2
+) -> tuple[ChainMap2, RatMatrix]:
+    """A chain map homotopic to m (same fibers), with the random homotopy r
+    from m to it."""
     r = rand_matrix(rng, m.dst.dim1, m.src.dim0, span)
-    return ChainMap2(m.src, m.dst, m.a1 - r @ m.src.d, m.a0 - m.dst.d @ r)
+    return ChainMap2(m.src, m.dst, m.a1 - r @ m.src.d, m.a0 - m.dst.d @ r), r
 
 
 def rand_quasi_iso(rng: random.Random, src: Fiber2, dst: Fiber2) -> ChainMap2:
@@ -105,7 +115,7 @@ def rand_quasi_iso(rng: random.Random, src: Fiber2, dst: Fiber2) -> ChainMap2:
     # guaranteed fallback: route through the minimal fiber, then perturb
     inc, proj = _inclusion_of_minimal(dst), _projection_to_minimal(src)
     via = ChainMap2(src, dst, inc.a1 @ proj.a1, inc.a0 @ proj.a0)
-    return perturb_chain_map(rng, via)
+    return perturb_chain_map(rng, via)[0]
 
 
 def rand_gl_arrow(rng: random.Random, src: GLObject, dst: GLObject) -> GLArrow:
@@ -125,18 +135,8 @@ def rand_gl_objects(
 
 def rand_cell_on(rng: random.Random, f: GLArrow, span: int = 2) -> GL2Cell:
     """A random 2-cell out of f, obtained by perturbing f along a homotopy."""
-    r = rand_matrix(rng, f.dst.fiber.dim1, f.src.fiber.dim0, span)
-    target = GLArrow(
-        f.src,
-        f.dst,
-        ChainMap2(
-            f.src.fiber,
-            f.dst.fiber,
-            f.a1 - r @ f.src.fiber.d,
-            f.a0 - f.dst.fiber.d @ r,
-        ),
-    )
-    return GL2Cell(f, target, r)
+    m, r = perturb_chain_map(rng, f.map, span)
+    return GL2Cell(f, GLArrow(f.src, f.dst, m), r)
 
 
 def rand_cell_between(rng: random.Random, f: GLArrow, g: GLArrow) -> GL2Cell:
@@ -200,35 +200,36 @@ def complete_to_simplex(handle, vertices, edges, pick_cell) -> SimplexLabel:
     return make_simplex(vertices, edges, tris)
 
 
-def sample_gl_simplex(
-    rng: random.Random, n: int, max_h: int = 1, max_extra: int = 1
-) -> SimplexLabel:
-    """A random valid simplex in the 2-groupoid of 2-term complexes.
-
-    Edges are homotopy perturbations of composites along the spine, so
-    every triangle admits 2-cells and the free choices stay free.
-    """
-    objs = rand_gl_objects(rng, n + 1, max_h=max_h, max_extra=max_extra)
-    spine = [rand_gl_arrow(rng, objs[i], objs[i + 1]) for i in range(n)]
-    edges: dict = {}
-    for j in range(1, n + 1):
+def _on_spine(handle, vertices, spine: list, perturb, pick_cell) -> SimplexLabel:
+    """The simplex with edge (j, i) the composite of spine[i], ..., spine[j - 1],
+    or perturb(composite) when it spans more than one step: every triangle
+    then admits 2-cells, and pick_cell makes the free choices."""
+    edges = {}
+    for j in range(1, len(spine) + 1):
         for i in range(j):
             c = spine[i]
             for t in range(i + 1, j):
-                c = compose_arrows(spine[t], c)
-            if j > i + 1:
-                c = rand_cell_on(rng, c).target
-            edges[(j, i)] = c
-    handle = GLHandle()
-    return complete_to_simplex(
-        handle, tuple(objs), edges, lambda f, g: rand_cell_between(rng, f, g)
-    )
+                c = handle.compose(spine[t], c)
+            edges[(j, i)] = perturb(c) if j > i + 1 else c
+    return complete_to_simplex(handle, tuple(vertices), edges, pick_cell)
+
+
+def sample_gl_simplex(
+    rng: random.Random, n: int, max_h: int = 1, max_extra: int = 1
+) -> SimplexLabel:
+    """A random valid simplex in the 2-groupoid of 2-term complexes: edges
+    are perturbed composites along a spine of random quasi-isomorphisms."""
+    objs = rand_gl_objects(rng, n + 1, max_h=max_h, max_extra=max_extra)
+    spine = [rand_gl_arrow(rng, objs[i], objs[i + 1]) for i in range(n)]
+    perturb = lambda c: rand_cell_on(rng, c).target
+    return _on_spine(GLHandle(), objs, spine, perturb, lambda f, g: rand_cell_between(rng, f, g))
 
 
 def sample_table_simplex(
     handle: TableHandle, rng: random.Random, n: int, start=None
 ) -> SimplexLabel:
-    """A random valid simplex of a finite 2-groupoid given by tables."""
+    """A random valid simplex of a finite 2-groupoid given by tables: a
+    composite is perturbed to the source of a random 2-cell into it."""
     x = start if start is not None else rng.choice(sorted(handle.objects()))
     verts = [x]
     spine = []
@@ -236,16 +237,7 @@ def sample_table_simplex(
         f = rng.choice(sorted(handle.arrows_from(verts[-1])))
         spine.append(f)
         verts.append(handle.arrow_tgt(f))
-    edges: dict = {}
-    for j in range(1, n + 1):
-        for i in range(j):
-            c = spine[i]
-            for t in range(i + 1, j):
-                c = handle.compose(spine[t], c)
-            if j > i + 1:
-                beta = rng.choice(sorted(handle.cells_into(c)))
-                c = handle.cell_src(beta)
-            edges[(j, i)] = c
+    perturb = lambda c: handle.cell_src(rng.choice(sorted(handle.cells_into(c))))
 
     def pick(f, g):
         cells = sorted(handle.cells_between(f, g))
@@ -253,7 +245,7 @@ def sample_table_simplex(
             raise ValueError("no 2-cell between parallel arrows")
         return rng.choice(cells)
 
-    return complete_to_simplex(handle, tuple(verts), edges, pick)
+    return _on_spine(handle, verts, spine, perturb, pick)
 
 
 def rand_invertible(rng: random.Random, n: int, span: int = 3) -> RatMatrix:
@@ -266,24 +258,19 @@ def rand_invertible(rng: random.Random, n: int, span: int = 3) -> RatMatrix:
 
 
 def rand_strict_ruth(rng: random.Random, g: FinGroupoid, base: Fiber2) -> Ruth2:
-    """A strictly multiplicative representation: conjugates of the identity.
-
-    Each point gets an invertible change of basis from a base fiber, and
-    each arrow acts by the composite change; corrections vanish."""
-    a1 = {x: rand_invertible(rng, base.dim1, 2) for x in g.objects}
-    a0 = {x: rand_invertible(rng, base.dim0, 2) for x in g.objects}
-    fibers = {
-        x: Fiber2(base.dim1, base.dim0, a0[x] @ base.d @ left_inverse(a1[x])) for x in g.objects
-    }
-    rho1 = {}
-    rho0 = {}
-    for f, (x, y) in g.arrows.items():
-        rho1[f] = a1[y] @ left_inverse(a1[x])
-        rho0[f] = a0[y] @ left_inverse(a0[x])
-    gamma = {
-        (h, a): RatMatrix.zeros(base.dim1, base.dim0) for h, a in g.composable_pairs()
-    }
-    return Ruth2(g, fibers, rho1, rho0, gamma)
+    """A strictly multiplicative representation: the transport of the
+    constant one on a base fiber, so each arrow acts by the composite change
+    of basis and corrections vanish."""
+    one1, one0 = RatMatrix.identity(base.dim1), RatMatrix.identity(base.dim0)
+    zero = RatMatrix.zeros(base.dim1, base.dim0)
+    constant = Ruth2(
+        g,
+        {x: base for x in g.objects},
+        {a: one1 for a in g.arrows},
+        {a: one0 for a in g.arrows},
+        {pair: zero for pair in g.composable_pairs()},
+    )
+    return rand_transport(rng, constant)[0]
 
 
 def rand_double_ruth(rng: random.Random, g: FinGroupoid, dims: dict | None = None) -> Ruth2:
@@ -313,11 +300,8 @@ def rand_gauge(rng: random.Random, r: Ruth2) -> tuple[Ruth2, RuthMorphism]:
             lam[f] = RatMatrix.zeros(r.fibers[y].dim1, r.fibers[x].dim0)
         else:
             lam[f] = rand_matrix(rng, r.fibers[y].dim1, r.fibers[x].dim0, 2)
-    rho1 = {}
-    rho0 = {}
-    for f, (x, y) in g.arrows.items():
-        rho1[f] = r.rho1[f] + lam[f] @ r.fibers[x].d
-        rho0[f] = r.rho0[f] + r.fibers[y].d @ lam[f]
+    rho1 = {a: r.rho1[a] + lam[a] @ r.fibers[x].d for a, (x, y) in g.arrows.items()}
+    rho0 = {a: r.rho0[a] + r.fibers[y].d @ lam[a] for a, (x, y) in g.arrows.items()}
     gamma = {}
     for h, a in g.composable_pairs():
         ha = g.comp[(h, a)]
@@ -325,14 +309,7 @@ def rand_gauge(rng: random.Random, r: Ruth2) -> tuple[Ruth2, RuthMorphism]:
             r.gamma[(h, a)] + lam[ha] - rho1[h] @ lam[a] - lam[h] @ r.rho0[a]
         )
     sheared = Ruth2(g, dict(r.fibers), rho1, rho0, gamma)
-    back = RuthMorphism(
-        sheared,
-        r,
-        {x: RatMatrix.identity(r.fibers[x].dim1) for x in g.objects},
-        {x: RatMatrix.identity(r.fibers[x].dim0) for x in g.objects},
-        lam,
-    )
-    return sheared, back
+    return sheared, replace(identity_morphism(r), src=sheared, mu=lam)
 
 
 def rand_transport(rng: random.Random, r: Ruth2) -> tuple[Ruth2, RuthMorphism]:
@@ -343,33 +320,19 @@ def rand_transport(rng: random.Random, r: Ruth2) -> tuple[Ruth2, RuthMorphism]:
     g = r.groupoid
     b1 = {x: rand_invertible(rng, r.fibers[x].dim1, 2) for x in g.objects}
     b0 = {x: rand_invertible(rng, r.fibers[x].dim0, 2) for x in g.objects}
+    c1 = {x: left_inverse(b) for x, b in b1.items()}
+    c0 = {x: left_inverse(b) for x, b in b0.items()}
     fibers = {
-        x: Fiber2(
-            r.fibers[x].dim1,
-            r.fibers[x].dim0,
-            b0[x] @ r.fibers[x].d @ left_inverse(b1[x]),
-        )
+        x: Fiber2(r.fibers[x].dim1, r.fibers[x].dim0, b0[x] @ r.fibers[x].d @ c1[x])
         for x in g.objects
     }
-    rho1 = {}
-    rho0 = {}
-    for f, (x, y) in g.arrows.items():
-        rho1[f] = b1[y] @ r.rho1[f] @ left_inverse(b1[x])
-        rho0[f] = b0[y] @ r.rho0[f] @ left_inverse(b0[x])
-    gamma = {}
-    for h, a in g.composable_pairs():
-        x = g.src(a)
-        z = g.tgt(h)
-        gamma[(h, a)] = b1[z] @ r.gamma[(h, a)] @ left_inverse(b0[x])
+    rho1 = {a: b1[y] @ r.rho1[a] @ c1[x] for a, (x, y) in g.arrows.items()}
+    rho0 = {a: b0[y] @ r.rho0[a] @ c0[x] for a, (x, y) in g.arrows.items()}
+    gamma = {
+        (h, a): b1[g.tgt(h)] @ r.gamma[(h, a)] @ c0[g.src(a)] for h, a in g.composable_pairs()
+    }
     moved = Ruth2(g, fibers, rho1, rho0, gamma)
-    fwd = RuthMorphism(
-        r,
-        moved,
-        b1,
-        b0,
-        {a: RatMatrix.zeros(fibers[g.tgt(a)].dim1, r.fibers[g.src(a)].dim0) for a in g.arrows},
-    )
-    return moved, fwd
+    return moved, replace(identity_morphism(r), dst=moved, theta1=b1, theta0=b0)
 
 
 def rand_ruth(rng: random.Random, g: FinGroupoid, style: str | None = None) -> Ruth2:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from typing import Iterable, Iterator, Mapping
 
-from .groupoid import FinGroupoid, chains, grouped
+from .groupoid import FinGroupoid, _stray_pairs, chains, grouped
 from .reports import Violation, gate
 
 
@@ -126,9 +126,7 @@ def _tables(c: Fin2Cat) -> Iterator[Violation]:
         for s, r in chains(ends, 2):
             if values.get(table.get((s, r))) != composite(s, r):
                 yield Violation("composability", (s, r), detail)
-        for s, r in table:
-            if s not in ends or r not in ends or ends[s][0] != ends[r][1]:
-                yield Violation("composability", (s, r), detail)
+        yield from _stray_pairs(ends, table, detail)
 
 
 def _2category_laws(c: Fin2Cat) -> Iterator[Violation]:

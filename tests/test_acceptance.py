@@ -59,7 +59,6 @@ from glv.ruth import (
     is_acyclic,
     is_quasi_iso_morphism,
     lines_projection_rep,
-    lines_projection_scalars,
     morphism_to_transformation,
     pseudofunctor_to_ruth,
     ruth_to_pseudofunctor,
@@ -362,9 +361,9 @@ def test_criterion_7_doubling_is_valid_and_acyclic():
             continue
         lines_families.append(fam)
     for fam in lines_families:
-        assert verify_ruth(lines_projection_rep(fam)) != []
-        g = pair_groupoid([f"l{i}" for i in range(len(fam))])
-        doubled = double_rep(g, lines_projection_scalars(fam))
+        r = lines_projection_rep(fam)
+        assert verify_ruth(r) != []
+        doubled = double_rep(r.groupoid, r.rho0)
         assert verify_ruth(doubled) == []
         assert is_acyclic(doubled)
 

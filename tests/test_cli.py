@@ -430,6 +430,20 @@ def test_a_repeated_key_is_structural(tmp_path, verb):
     assert result.output == "error: payload.cells: repeated key '1'\n"
 
 
+def test_a_deeply_nested_document_is_a_structural_error(tmp_path):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"kind": "groupoid", "version": "1", "payload": {"objects": '
+        + "[" * depth + '"x"' + "]" * depth + "}}"
+    )
+    result = run("verify", path)
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert result.output == "error: document is nested too deeply to read\n"
+
+
 @pytest.mark.parametrize("verb", [("verify",), ("nerve", "--level", "2")], ids=["verify", "nerve"])
 @pytest.mark.parametrize(
     "table, entry, line",

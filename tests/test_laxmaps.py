@@ -26,7 +26,9 @@ from glv.laxmaps import (
 )
 from glv.linalg import RatMatrix
 from glv.nerve import GLHandle, TableHandle, make_simplex, validate_simplex
-from glv.sampling import sample_table_simplex
+from glv.reports import Violation
+from glv.ruth import as_lax_functor, ruth_to_pseudofunctor
+from glv.sampling import rand_fiber_with_homology, rand_strict_ruth, sample_table_simplex
 from glv.twocat import from_groupoid, verify_2groupoid
 
 GL = GLHandle()
@@ -169,6 +171,15 @@ def strict_gl_rep():
 def test_strict_gl_rep_is_lax_functor():
     _, fun = strict_gl_rep()
     assert verify_lax_functor(fun, GL) == []
+
+
+def test_a_comparison_cell_off_the_composable_pairs_is_reported():
+    rng = random.Random(0)
+    g = pair_groupoid(["a", "b"])
+    r = rand_strict_ruth(rng, g, rand_fiber_with_homology(rng, 1, 1, 1))
+    fun = as_lax_functor(ruth_to_pseudofunctor(r))
+    fun.comp_cell[("q", "a|b")] = next(iter(fun.comp_cell.values()))
+    assert verify_lax_functor(fun, GL) == [Violation("composability", ("q", "a|b"))]
 
 
 def test_gl_simplicial_round_trip():

@@ -22,7 +22,7 @@ from glv.groupoid import action_groupoid, cyclic_group, pair_groupoid
 from glv.laxmaps import verify_lax_transformation
 from glv.linalg import RatMatrix
 from glv.nerve import GLHandle
-from glv.reports import LawError
+from glv.reports import LawError, Violation
 from glv.ruth import (
     Ruth2,
     RuthMorphism,
@@ -35,7 +35,6 @@ from glv.ruth import (
     is_acyclic,
     is_quasi_iso_morphism,
     lines_projection_rep,
-    lines_projection_scalars,
     morphism_to_transformation,
     pseudofunctor_to_ruth,
     ruth_to_pseudofunctor,
@@ -110,8 +109,8 @@ def test_two_lines_cycle_defect():
 
 def test_doubling_repairs_lines():
     lines = [(Fraction(1), Fraction(0)), (Fraction(1), Fraction(1)), (Fraction(2), Fraction(1))]
-    scal = lines_projection_scalars(lines)
-    doubled = double_rep(pair_groupoid([f"l{i}" for i in range(3)]), scal)
+    r = lines_projection_rep(lines)
+    doubled = double_rep(r.groupoid, r.rho0)
     assert verify_ruth(doubled) == []
     assert is_acyclic(doubled)
 
@@ -387,3 +386,30 @@ def test_one_defect_gives_the_same_sites_in_both_morphism_styles():
         ruth, lax = _as_documents(bad)
         assert ruth_law in {v.law for v in ruth} and lax_law in {v.law for v in lax}
         assert _ruth_reading(g, lax) == [(v.law, v.where) for v in ruth]
+
+
+def _strict_pair():
+    rng = random.Random(0)
+    g = pair_groupoid(["a", "b"])
+    return rng, rand_strict_ruth(rng, g, rand_fiber_with_homology(rng, 1, 1, 1))
+
+
+@pytest.mark.parametrize("pair", [("a|b", "a|b"), ("q", "a|b")], ids=["not-composable", "no-arrow"])
+def test_a_correction_off_the_composable_pairs_is_reported(pair):
+    _, r = _strict_pair()
+    r.gamma[pair] = RatMatrix.zeros(r.fibers["a"].dim1, r.fibers["b"].dim0)
+    assert verify_ruth(r) == [Violation("composability", pair)]
+    lax = verify_morphism(identity_morphism(r), "lax")
+    assert {(v.law, v.where) for v in lax} == {("composability", pair)}
+    p = ruth_to_pseudofunctor(_strict_pair()[1])
+    p.comp_cell[pair] = next(iter(p.comp_cell.values()))
+    assert verify_pseudofunctor(p) == [Violation("composability", pair)]
+
+
+def test_a_misshapen_action_is_a_shape_violation_in_both_morphism_styles():
+    rng, r = _strict_pair()
+    m = rand_ruth_morphism(rng, r)
+    a1 = m.src.rho1["b|a"]
+    m.src.rho1["b|a"] = RatMatrix.zeros(a1.rows + 1, a1.cols)
+    for style in ("ruth", "lax"):
+        assert [(v.law, v.where) for v in verify_morphism(m, style)] == [("shape", ("b|a",))]
