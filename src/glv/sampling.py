@@ -277,7 +277,7 @@ def rand_double_ruth(rng: random.Random, g: FinGroupoid, dims: dict | None = Non
     """The doubling of a random pseudo-representation on vector spaces."""
     if dims is None:
         dims = {x: rng.randint(1, 2) for x in g.objects}
-    units = {g.unit(x) for x in g.objects}
+    units = g.unit_arrows
     rho = {}
     for f, (x, y) in g.arrows.items():
         if f in units:
@@ -293,7 +293,7 @@ def rand_gauge(rng: random.Random, r: Ruth2) -> tuple[Ruth2, RuthMorphism]:
     Returns the sheared representation together with the connecting
     morphism (identity components, homotopies the shears) back to r."""
     g = r.groupoid
-    units = {g.unit(x) for x in g.objects}
+    units = g.unit_arrows
     lam = {}
     for f, (x, y) in g.arrows.items():
         if f in units:
@@ -363,12 +363,7 @@ def perturb_correction(rng: random.Random, r: Ruth2):
     whenever perturbation is possible.  Returns (perturbed, pair) or None
     when every kernel is trivial."""
     g = r.groupoid
-    units = {g.unit(x) for x in g.objects}
-    pairs = [
-        (h, a)
-        for h, a in g.composable_pairs()
-        if h not in units and a not in units
-    ]
+    pairs = list(g.composable_pairs(skip_units=True))
     rng.shuffle(pairs)
     for h, a in pairs:
         basis = homotopy_kernel_basis(r.fibers[g.src(a)], r.fibers[g.tgt(h)])

@@ -37,3 +37,16 @@ def test_installed_tracer_counts_composable_triples():
         t.uninstall()
     assert len(triples) == 81
     assert t.counts["groupoid.triples_yielded"] == 81
+
+
+def test_installed_tracer_forwards_the_unit_keyword():
+    g = pair_groupoid(["a", "b", "c"])
+    t = _tracer()
+    t.install()
+    try:
+        triples = list(g.composable_triples(skip_units=True))
+    finally:
+        t.uninstall()
+    # n(n-1)^3 triples through no unit on the pair groupoid over n = 3 points
+    assert len(triples) == 24
+    assert t.counts["groupoid.triples_yielded"] == 24

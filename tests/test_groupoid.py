@@ -144,3 +144,16 @@ def test_a_comp_entry_naming_no_arrow_is_reported(key, value, law):
     g = pair_groupoid("ab")
     g.comp[key] = value
     assert verify_groupoid(g) == [Violation(law, key)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_chains_through_no_unit_count_and_keep_the_walk_order(n):
+    g = pair_groupoid("abcde"[:n])
+    units = g.unit_arrows
+    assert units == {f"{x}|{x}" for x in g.objects}
+    pairs = list(g.composable_pairs(skip_units=True))
+    triples = list(g.composable_triples(skip_units=True))
+    assert len(pairs) == n * (n - 1) ** 2
+    assert len(triples) == n * (n - 1) ** 3
+    assert pairs == [c for c in g.composable_pairs() if not units & set(c)]
+    assert triples == [c for c in g.composable_triples() if not units & set(c)]

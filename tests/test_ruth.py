@@ -3,13 +3,14 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
 
 import glv.gl2
 import glv.ruth
-from glv.chain2 import Fiber2, homotopy_kernel_basis
+from glv.chain2 import ChainMap2, Fiber2, _trusted, homotopy_kernel_basis
 from glv.documents import (
     decode_lax_morphism,
     decode_ruth_morphism,
@@ -19,11 +20,13 @@ from glv.documents import (
     load_document,
 )
 from glv.groupoid import action_groupoid, cyclic_group, pair_groupoid
+from glv.gl2 import GL2Cell, GLArrow, GLObject, compose_arrows
 from glv.laxmaps import verify_lax_transformation
 from glv.linalg import RatMatrix
 from glv.nerve import GLHandle
-from glv.reports import LawError, Violation
+from glv.reports import LawError, Violation, gate
 from glv.ruth import (
+    PseudoFunctorGL,
     Ruth2,
     RuthMorphism,
     as_lax_functor,
@@ -48,6 +51,7 @@ from glv.sampling import (
     rand_double_ruth,
     rand_fiber_with_homology,
     rand_gauge,
+    rand_matrix,
     rand_ruth,
     rand_ruth_morphism,
     rand_strict_ruth,
@@ -312,13 +316,31 @@ def test_components_to_transformation_checks_each_component_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_lax_verification_checks_each_chain_condition_once(monkeypatch):
+    path = Path(__file__).parent / "fixtures" / "morphism_lax.json"
+    m = decode_lax_morphism(load_document(path.read_text())[1])
+    products = []
+    matmul = RatMatrix.__matmul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return matmul(a, b)
+
+    monkeypatch.setattr(RatMatrix, "__matmul__", counted)
+    assert verify_morphism(m, "lax") == []
+    # Each end has four actions, each with a chain condition of two
+    # products; checking them again while the arrows are built made 140.
+    assert len(products) == 124
+
+
 
 def _corner(rows: int, cols: int) -> RatMatrix:
     """The rows x cols matrix whose only nonzero entry is a 1 at (0, 0)."""
     return RatMatrix(rows, cols, tuple(Fraction(int(i == 0)) for i in range(rows * cols)))
 
 
-def _bumped(m: RuthMorphism, table: str, key: str, bump: RatMatrix) -> RuthMorphism:
+def _bumped(m, table: str, key, bump: RatMatrix):
+    """m, a representation or a morphism, with bump added to table[key]."""
     moved = dict(getattr(m, table))
     moved[key] = moved[key] + bump
     return replace(m, **{table: moved})
@@ -413,3 +435,182 @@ def test_a_misshapen_action_is_a_shape_violation_in_both_morphism_styles():
     m.src.rho1["b|a"] = RatMatrix.zeros(a1.rows + 1, a1.cols)
     for style in ("ruth", "lax"):
         assert [(v.law, v.where) for v in verify_morphism(m, style)] == [("shape", ("b|a",))]
+
+
+# ---- reference: every law at every composable pair and triple ---------------
+# The verifiers skip the chains through a unit in the stages after the unit
+# laws.  The reference below checks the same laws at every site, with the
+# plain loops the verifiers once ran, and reuses the stages before.
+
+
+def _every(g, n):
+    """Every chain of n composable arrows, units included, in the order of a
+    scan of the n-th power of the arrows."""
+    return [
+        c
+        for c in product(g.arrows, repeat=n)
+        if all(g.src(c[i]) == g.tgt(c[i + 1]) for i in range(n - 1))
+    ]
+
+
+def _reference_composition(r):
+    g = r.groupoid
+    for h, a in _every(g, 2):
+        ha, c = g.comp[(h, a)], r.gamma[(h, a)]
+        if c @ r.fibers[g.src(a)].d != r.rho1[ha] - r.rho1[h] @ r.rho1[a]:
+            yield Violation("composition homotopy", (h, a), "degree 1")
+        if r.fibers[g.tgt(h)].d @ c != r.rho0[ha] - r.rho0[h] @ r.rho0[a]:
+            yield Violation("composition homotopy", (h, a), "degree 0")
+
+
+def _reference_cocycle(r, law):
+    g = r.groupoid
+    for k, h, a in _every(g, 3):
+        lhs = r.rho1[k] @ r.gamma[(h, a)] + r.gamma[(k, g.comp[(h, a)])]
+        rhs = r.gamma[(k, h)] @ r.rho0[a] + r.gamma[(g.comp[(k, h)], a)]
+        if lhs != rhs:
+            yield Violation(law, (k, h, a))
+
+
+def _reference_ruth(r):
+    return gate(
+        glv.ruth._tables(r, "pair has no correction"),
+        glv.ruth._matrices(r),
+        glv.ruth._units(r, "unit arrow must act as the identity", "correction at a unit must vanish"),
+        chain(_reference_composition(r), _reference_cocycle(r, "cocycle")),
+    )
+
+
+def _reference_pseudofunctor(p):
+    """For functors with a comparison cell at each composable pair only."""
+    r = pseudofunctor_to_ruth(p)
+    return gate(
+        glv.ruth._units(r, "unit arrow image", "comparison cell at a unit"),
+        _reference_cocycle(r, "coherence"),
+    )
+
+
+def _reference_functor_laws(r):
+    bad = gate(glv.ruth._tables(r, "no comparison cell"), glv.ruth._matrices(r))
+    if bad:
+        return bad
+    try:
+        return _reference_pseudofunctor(ruth_to_pseudofunctor(r))
+    except LawError as e:
+        return e.violations
+
+
+def _reference_morphism(m, style):
+    """For total morphisms whose components are chain maps only."""
+    g, lax = m.src.groupoid, style == "lax"
+    ends = _reference_functor_laws if lax else _reference_ruth
+
+    def pair_law():
+        for h, a in _every(g, 2):
+            x, z, ha = g.src(a), g.tgt(h), g.comp[(h, a)]
+            lhs = (
+                m.theta1[z] @ m.src.gamma[(h, a)]
+                + m.mu[h] @ m.src.rho0[a]
+                + m.dst.rho1[h] @ m.mu[a]
+            )
+            if lhs != m.mu[ha] + m.dst.gamma[(h, a)] @ m.theta0[x]:
+                yield Violation("transformation prism" if lax else "morphism pair", (h, a))
+
+    return gate(
+        chain(glv.ruth._in_the("source", ends(m.src)), glv.ruth._in_the("target", ends(m.dst))),
+        glv.ruth._quasi_isos(m) if lax else (),
+        glv.ruth._naturality(m, lax),
+        pair_law(),
+    )
+
+
+def _unchecked_functor(r):
+    """r as a pseudo-functor, its arrows and cells built unchecked, so that it
+    may break any law verify_pseudofunctor checks."""
+    g = r.groupoid
+    obj = {x: GLObject(x, f) for x, f in r.fibers.items()}
+    arrow = {}
+    for a, (x, y) in g.arrows.items():
+        chain_map = _trusted(ChainMap2, r.fibers[x], r.fibers[y], r.rho1[a], r.rho0[a])
+        arrow[a] = _trusted(GLArrow, obj[x], obj[y], chain_map)
+    cells = {
+        (h, a): _trusted(GL2Cell, arrow[g.comp[(h, a)]], compose_arrows(arrow[h], arrow[a]), c)
+        for (h, a), c in r.gamma.items()
+    }
+    return PseudoFunctorGL(g, obj, arrow, cells)
+
+
+def _broken_ruths(rng, r):
+    """r, and r broken at its cocycle, its composition or its units."""
+    g = r.groupoid
+    units = g.unit_arrows
+    inner = [p for p in _every(g, 2) if not units & set(p)]
+    out = [r]
+    perturbed = perturb_correction(rng, r)
+    if perturbed is not None:
+        out.append(perturbed[0])
+    corrected = r
+    for pair in rng.sample(inner, 2):
+        c = r.gamma[pair]
+        corrected = _bumped(corrected, "gamma", pair, rand_matrix(rng, c.rows, c.cols, 2))
+    out.append(corrected)
+    for x, f in r.fibers.items():
+        # rho(1) = 2 id: still a chain map, no longer the identity
+        u = g.unit(x)
+        if f.dim1 or f.dim0:
+            doubled = _bumped(r, "rho1", u, RatMatrix.identity(f.dim1))
+            out.append(_bumped(doubled, "rho0", u, RatMatrix.identity(f.dim0)))
+    for p in rng.sample([p for p in _every(g, 2) if units & set(p)], 3):
+        c = r.gamma[p]
+        if c.rows * c.cols:
+            out.append(_bumped(r, "gamma", p, _corner(c.rows, c.cols)))
+    return out
+
+
+def _broken_morphisms(rng, g):
+    """A random morphism over g, and the same broken at a naturality cell
+    inside its homotopy class, at a unit, or at its source."""
+    base = rand_fiber_with_homology(rng, 1, 1, 1)
+    m = rand_ruth_morphism(rng, rand_gauge(rng, rand_strict_ruth(rng, g, base))[0])
+    out = [m]
+    for a in rng.sample(sorted(g.arrows.keys() - g.unit_arrows), 2):
+        x, y = g.arrows[a]
+        kernel = homotopy_kernel_basis(m.src.fibers[x], m.dst.fibers[y])
+        bump = kernel @ RatMatrix.column([Fraction(rng.randint(1, 3)) for _ in range(kernel.cols)])
+        out.append(_bumped(m, "mu", a, RatMatrix(m.mu[a].rows, m.mu[a].cols, bump.entries)))
+    u = g.unit(g.objects[0])
+    mu = m.mu[u]
+    if mu.rows * mu.cols:
+        out.append(_bumped(m, "mu", u, _corner(mu.rows, mu.cols)))
+    perturbed = perturb_correction(rng, m.src)
+    if perturbed is not None:
+        out.append(replace(m, src=perturbed[0]))
+    return out
+
+
+REFERENCE_GROUPOIDS = [pair_groupoid("ab"), pair_groupoid("abc"), pair_groupoid("abcd"), regular_action()]
+
+
+@pytest.mark.parametrize("g", REFERENCE_GROUPOIDS, ids=["pair2", "pair3", "pair4", "z3"])
+def test_verifiers_skipping_unit_chains_agree_with_the_reference(g):
+    reports = []  # (verifier's report, reference report)
+    for seed in range(6):
+        rng = random.Random(seed)
+        for r in _broken_ruths(rng, rand_ruth(rng, g, style=("double", "strict", "sheared")[seed % 3])):
+            f = _unchecked_functor(r)
+            reports.append((verify_ruth(r), _reference_ruth(r)))
+            reports.append((verify_pseudofunctor(f), _reference_pseudofunctor(f)))
+        for m in _broken_morphisms(rng, g):
+            reports += [(verify_morphism(m, s), _reference_morphism(m, s)) for s in ("ruth", "lax")]
+    for got, want in reports:
+        assert got == want
+    # the inputs reach every law past the unit stage, and the unit stage fails
+    assert {v.law for _, want in reports for v in want} >= {
+        "composition homotopy",
+        "cocycle",
+        "coherence",
+        "unit",
+        "morphism pair",
+        "transformation prism",
+        "transformation unit",
+    }
