@@ -4,8 +4,10 @@ Run from the repository root:
 
     python3 tests/fixtures/make_verdicts.py
 
-`glv verify` runs on every fixture and `glv convert` on the four convertible
-ones, in process; each run is recorded with its exit code, stdout and stderr.
+`glv verify` runs on every fixture, `glv convert` on the four convertible
+ones, `glv nerve --level 4` on the three two-category documents and `glv fill`
+on the four horns, in process; each run is recorded with its exit code,
+stdout and stderr.
 tests/test_fixtures.py compares the committed file with a fresh run, so any
 change to the bytes glv prints for the corpus shows there.
 """
@@ -27,12 +29,20 @@ CONVERSIONS = (
     ("morphism_ruth.json", "morphism-to-lax"),
     ("morphism_lax.json", "lax-to-morphism"),
 )
+TWO_CATEGORIES = (
+    "two_category_pair.json",
+    "two_category_delooping_z4.json",
+    "bad_two_category_interchange.json",
+)
+HORNS = ("horn_gl_20.json", "horn_gl_31.json", "horn_table_32.json", "bad_horn_tetrahedron.json")
 
 
 def runs() -> list[list[str]]:
     """The argument lists, fixture names relative to this directory."""
     argvs = [["verify", p.name] for p in sorted(HERE.glob("*.json"))]
     argvs += [["convert", name, "--direction", d] for name, d in CONVERSIONS]
+    argvs += [["nerve", name, "--level", "4"] for name in TWO_CATEGORIES]
+    argvs += [["fill", name] for name in HORNS]
     return argvs
 
 
