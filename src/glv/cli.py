@@ -26,6 +26,7 @@ from .nerve import (
     TableHandle,
     fill_horn,
     nerve_levels,
+    simplices_over,
     validate_horn,
     validate_simplex,
 )
@@ -304,16 +305,21 @@ def nerve(path, level):
     The category is verified once, where the document enters; over a
     verified category every enumerated simplex is valid, so none is checked
     again.  Each level is built once from the one before, and its count is
-    printed as it completes."""
+    printed as it completes; the top level is counted as it is built, never
+    stored."""
     kind, payload = _read(path)
     if kind != "two-category":
         _structural(f"document is a {kind}, expected two-category")
     with _reported():
         c = docs.decode_two_category(payload)
         require(verify_fin2cat(c))
+    handle = TableHandle(c)
     try:
-        for lv, simplices in enumerate(nerve_levels(TableHandle(c), level)):
+        for lv, simplices in enumerate(nerve_levels(handle, max(level - 1, 0))):
             click.echo(f"level {lv}: {len(simplices)} simplices")
+        if level:
+            count = sum(1 for _ in simplices_over(handle, simplices))
+            click.echo(f"level {level}: {count} simplices")
     except NoFillerError as e:
         # from level 3 on, enumeration inverts the triangles' 2-cells; the
         # error carries the inverse law failing at the cell

@@ -23,7 +23,7 @@ The code is generic over a handle, either finite tables (TableHandle) or the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from math import comb
 from operator import ne
@@ -170,7 +170,7 @@ def _freeze(mapping: Mapping) -> tuple:
     return tuple(sorted(mapping.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimplexLabel:
     vertices: tuple
     edges: tuple  # ((j, i), arrow), j > i
@@ -225,12 +225,8 @@ def triangle_of(handle, s: SimplexLabel, k: int, j: int, i: int):
 
 def _tetrahedron_sides(handle, edges: Mapping, tris: Mapping, quad):
     l, k, j, i = quad
-    lhs = handle.vcompose(
-        handle.whisker_left(edges[(l, k)], tris[(k, j, i)]), tris[(l, k, i)]
-    )
-    rhs = handle.vcompose(
-        handle.whisker_right(tris[(l, k, j)], edges[(j, i)]), tris[(l, j, i)]
-    )
+    lhs = handle.vcompose(handle.whisker_left(edges[(l, k)], tris[(k, j, i)]), tris[(l, k, i)])
+    rhs = handle.vcompose(handle.whisker_right(tris[(l, k, j)], edges[(j, i)]), tris[(l, j, i)])
     return lhs, rhs
 
 
@@ -472,10 +468,10 @@ def coskeletal_extend(handle, boundary: Sequence[SimplexLabel]) -> SimplexLabel:
     return s
 
 
-@dataclass(slots=True)  # not frozen: a frozen field costs a call to set, per stage
+@dataclass(slots=True)  # not frozen: enumeration lowers one stage in place
 class FiltrationStage:
-    """The stage F_k of the filtration interpolating the inclusion
-    of the last face: F_k carries the labels a with max(a) < n or min(a) >= k.
+    """The stage F_k of the filtration interpolating the inclusion of the
+    last face: F_k carries the labels a with max(a) < n or min(a) >= k.
 
     The labels with max(a) < n are those of base, the face d_n, which stages
     over it share.  Those at vertex n are (key, label) items by position, None
@@ -488,10 +484,6 @@ class FiltrationStage:
     base: SimplexLabel
     top_edges: list
     top_triangles: list
-
-    @property
-    def n(self) -> int:
-        return len(self.vertices) - 1
 
     def edge_map(self) -> dict:
         return dict(self.base.edges + tuple(filter(None, self.top_edges)))
@@ -522,7 +514,16 @@ def stage_to_simplex(stage: FiltrationStage) -> SimplexLabel:
 
 
 def reconstruct_stage(handle, stage: FiltrationStage, alpha) -> FiltrationStage:
-    """Extend F_{k+1} labels to F_k given the new triangle (n, k+1, k).
+    """F_k from F_{k+1} and the new triangle (n, k+1, k): _lower on a copy."""
+    if stage.k < 1:
+        raise ValueError("nothing left to reconstruct")
+    out = replace(stage, top_edges=stage.top_edges.copy(), top_triangles=stage.top_triangles.copy())
+    _lower(handle, out, alpha)
+    return out
+
+
+def _lower(handle, stage: FiltrationStage, alpha) -> None:
+    """Write the labels of F_k over those of F_{k+1} = stage, in place.
 
     The 2-cell alpha labels the triangle (n, k+1, k); its source is the new
     edge (n, k).  The remaining new triangles (n, l, k) for k+1 < l < n are
@@ -532,30 +533,25 @@ def reconstruct_stage(handle, stage: FiltrationStage, alpha) -> FiltrationStage:
                      * u_{n,k+1,k}
 
     vertically composed bottom-up, whiskering on the left of the first factor
-    and the right of the second.  Only the labels at vertex n are copied and
-    written, by position; those of the face d_n are read from the shared base.
-    Over a TableHandle the whiskers and composites are single table reads.
+    and the right of the second.  Over a TableHandle each whisker and
+    composite is a single table read.
     """
-    n, k1 = stage.n, stage.k
-    if k1 < 1:
-        raise ValueError("nothing left to reconstruct")
-    k = k1 - 1
-    below = stage.base.edges[_edge_at(k1, k)][1]  # u_{k+1,k}
-    if handle.cell_tgt(alpha) != handle.compose(stage.top_edges[k1][1], below):
+    vertices, base, edges, tris = stage.vertices, stage.base, stage.top_edges, stage.top_triangles
+    n, k1, k = len(vertices) - 1, stage.k, stage.k - 1
+    below = base.edges[_edge_at(k1, k)][1]  # u_{k+1,k}
+    if handle.cell_tgt(alpha) != handle.compose(edges[k1][1], below):
         raise ValueError("new 2-cell does not target the composite over the new edge")
     new_edge = handle.cell_src(alpha)
-    ends = handle.arrow_src(new_edge), handle.arrow_tgt(new_edge)
-    if ends != (stage.vertices[k], stage.vertices[n]):
+    if (handle.arrow_src(new_edge), handle.arrow_tgt(new_edge)) != (vertices[k], vertices[n]):
         raise ValueError("new 2-cell source is not an edge from vertex k to vertex n")
-    edges, tris = stage.top_edges.copy(), stage.top_triangles.copy()
     edges[k] = ((n, k), new_edge)
     tris[_edge_at(k1, k)] = ((n, k1, k), alpha)
     for l in range(k1 + 1, n):
         at = _edge_at(l, k)  # (n, l, k); (n, l, k+1) follows it
         step = handle.vcompose(handle.whisker_right(tris[at + 1][1], below), alpha)
-        inv = handle.invert_cell(stage.base.triangles[_triangle_at(l, k1, k)][1])  # u_{l,k+1,k}
+        inv = handle.invert_cell(base.triangles[_triangle_at(l, k1, k)][1])  # u_{l,k+1,k}
         tris[at] = ((n, l, k), handle.vcompose(handle.whisker_left(edges[l][1], inv), step))
-    return FiltrationStage(k, stage.vertices, stage.base, edges, tris)
+    stage.k = k
 
 
 def initial_stage(handle, base: SimplexLabel, top_vertex, last_edge) -> FiltrationStage:
@@ -568,31 +564,35 @@ def initial_stage(handle, base: SimplexLabel, top_vertex, last_edge) -> Filtrati
     return FiltrationStage(n - 1, base.vertices + (top_vertex,), base, edges, [None] * comb(n, 2))
 
 
-def nerve_levels(handle: TableHandle, top: int) -> Iterator[list[SimplexLabel]]:
-    """The simplices of a finite handle at levels 0, 1, ..., top, in order.
+def simplices_over(handle: TableHandle, level: Sequence[SimplexLabel]) -> Iterator[SimplexLabel]:
+    """The n-simplices of a finite handle over its (n-1)-simplices, one by one:
+    each (n-1)-simplex plus an edge out of its last vertex is the stage F_{n-1},
+    which each choice of new triangle (n, k+1, k) lowers, depth first and in
+    place, until F_0 is a simplex.  Nothing is validated: over a verified
+    2-category the forced triangles make every tetrahedron commute."""
+    for base in level:
+        for e in handle.arrows_from(base.vertices[-1]):
+            yield from _leaves(handle, initial_stage(handle, base, handle.arrow_tgt(e), e))
 
-    Level n is built from level n-1: each (n-1)-simplex plus an edge out of
-    its last vertex is the stage F_{n-1}, and every choice of new triangle
-    (n, k+1, k) extends a stage down the filtration to a full simplex.
-    Nothing is validated here: over a verified 2-category the forced
-    triangles make every tetrahedron commute.
-    """
+
+def _leaves(handle, stage: FiltrationStage) -> Iterator[SimplexLabel]:
+    k1 = stage.k
+    if k1 == 0:
+        yield stage_to_simplex(stage)
+        return
+    below = stage.base.edges[_edge_at(k1, k1 - 1)][1]
+    for alpha in handle.cells_into(handle.compose(stage.top_edges[k1][1], below)):
+        stage.k = k1
+        _lower(handle, stage, alpha)
+        yield from _leaves(handle, stage)
+
+
+def nerve_levels(handle: TableHandle, top: int) -> Iterator[list[SimplexLabel]]:
+    """The simplices of a finite handle at levels 0 to top, each listed from the one before."""
     level = [SimplexLabel((x,), (), ()) for x in handle.objects()]
     yield level
-    for n in range(1, top + 1):
-        out: list[SimplexLabel] = []
-        for base in level:
-            for e in handle.arrows_from(base.vertices[-1]):
-                stages = [initial_stage(handle, base, handle.arrow_tgt(e), e)]
-                for k1 in range(n - 1, 0, -1):
-                    below = base.edges[_edge_at(k1, k1 - 1)][1]
-                    stages = [
-                        reconstruct_stage(handle, st, alpha)
-                        for st in stages
-                        for alpha in handle.cells_into(handle.compose(st.top_edges[k1][1], below))
-                    ]
-                out.extend(map(stage_to_simplex, stages))
-        level = out
+    for _ in range(top):
+        level = list(simplices_over(handle, level))
         yield level
 
 

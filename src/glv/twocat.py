@@ -11,7 +11,9 @@ Composable strings are groupoid.chains over arrows, over 2-cells
 (horizontally).  The verifiers gate their stages: endpoints, units, exactness
 of the tables, then the laws.  The law stage reads the tables directly,
 without the composability checks of compose/vcompose/hcompose, because the
-gate has already checked every pair it looks up.
+gate has already checked every pair it looks up.  When every other law of
+that stage holds, interchange is decided by whiskers in O(n^2) lookups; its
+O(n^4) loop over sites runs only when it fails, to name them.
 """
 
 from __future__ import annotations
@@ -135,11 +137,62 @@ def _2category_laws(c: Fin2Cat) -> Iterator[Violation]:
     The gate runs this stage only after endpoints, units and exactness have
     passed, so each lookup below is of a composable pair and is present.
     Composable partners come from groupoid.chains, in the order of a scan of
-    the tables; only interchange groups its vertical pairs here."""
+    the tables; only interchange groups its vertical pairs here.
+
+    Interchange is decided by whiskers when every other law of the stage
+    held: given the vertical unit and associativity laws, it holds at every
+    site exactly when (a) each horizontal composite equals both of its
+    whisker composites and (b) left and right whiskering preserve vertical
+    composites (Kelly and Street, "Review of the elements of 2-categories",
+    1974).  Those are O(n^2) lookups where the sites are O(n^4); the loop
+    over the sites runs only when they fail, and it alone names sites."""
+    hends = c.hcell_ends()
+    held = True
+    for v in _laws_before_interchange(c, hends):
+        held = False
+        yield v
+    cells, vcomp, hcomp = c.cells, c.vcomp, c.hcomp
+    # interchange: (s', s) and (r', r) vertical pairs with s after r horizontally
+    vpairs = [(sp, s, vcomp[(sp, s)]) for sp, s in chains(cells, 2)]
+    pairs_over = grouped((hends[p[1]][1], p) for p in vpairs)
+    if held and _whiskers_interchange(c, hends, vpairs, pairs_over):
+        return
+    for sp, s, sps in vpairs:
+        for rp, r, rpr in pairs_over.get(hends[s][0], ()):
+            if hcomp[(sps, rpr)] != vcomp[(hcomp[(sp, rp)], hcomp[(s, r)])]:
+                yield Violation("interchange", (sp, s, rp, r))
+
+
+def _whiskers_interchange(c: Fin2Cat, hends: dict, vpairs: list, pairs_over: dict) -> bool:
+    """(a) and (b) of _2category_laws: s o r = (s o 1) * (1 o r) = (1 o r) * (s o 1),
+    1_g o (r' * r) = (1_g o r') * (1_g o r) and (s' * s) o 1_f = (s' o 1_f) * (s o 1_f).
+    vpairs lists the vertical pairs (s', s, s' * s), and pairs_over those
+    under the target object of their arrows."""
+    cells, vcomp, hcomp, unit_cell = c.cells, c.vcomp, c.hcomp, c.unit_cell
+    for s, r in chains(hends, 2):
+        (g, g2), (f, f2) = cells[s], cells[r]
+        sr = hcomp[(s, r)]
+        if sr != vcomp[(hcomp[(s, unit_cell[f2])], hcomp[(unit_cell[g], r)])]:
+            return False
+        if sr != vcomp[(hcomp[(unit_cell[g2], r)], hcomp[(s, unit_cell[f])])]:
+            return False
+    pairs_from = grouped((hends[p[1]][0], p) for p in vpairs)
+    for f, (x, y) in c.arrows.items():
+        u = unit_cell[f]
+        for rp, r, rpr in pairs_over.get(x, ()):
+            if hcomp[(u, rpr)] != vcomp[(hcomp[(u, rp)], hcomp[(u, r)])]:
+                return False
+        for sp, s, sps in pairs_from.get(y, ()):
+            if hcomp[(sps, u)] != vcomp[(hcomp[(sp, u)], hcomp[(s, u)])]:
+                return False
+    return True
+
+
+def _laws_before_interchange(c: Fin2Cat, hends: dict) -> Iterator[Violation]:
+    """Every law of _2category_laws but interchange, in its order."""
     arrows, cells = c.arrows, c.cells
     comp1, vcomp, hcomp = c.comp1, c.vcomp, c.hcomp
     unit_arrow, unit_cell = c.unit_arrow, c.unit_cell
-    hends = c.hcell_ends()
 
     for g, f in chains(arrows, 2):
         gf = comp1[(g, f)]
@@ -170,13 +223,6 @@ def _2category_laws(c: Fin2Cat) -> Iterator[Violation]:
     for g, f in chains(arrows, 2):
         if hcomp[(unit_cell[g], unit_cell[f])] != unit_cell[comp1[(g, f)]]:
             yield Violation("unit law", (g, f), "horizontal composite of identity cells")
-    # interchange: (s', s) and (r', r) vertical pairs with s after r horizontally
-    pairs_over = grouped((hends[r][1], (rp, r, vcomp[(rp, r)])) for rp, r in chains(cells, 2))
-    for sp, s in chains(cells, 2):
-        sps = vcomp[(sp, s)]
-        for rp, r, rpr in pairs_over.get(hends[s][0], ()):
-            if hcomp[(sps, rpr)] != vcomp[(hcomp[(sp, rp)], hcomp[(s, r)])]:
-                yield Violation("interchange", (sp, s, rp, r))
 
 
 def find_quasi_inverse(c: Fin2Cat, f: str) -> tuple[str, str, str] | None:

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 from unittest.mock import patch
 
@@ -11,6 +11,7 @@ from glv.documents import decode_two_category, load_document
 from glv.groupoid import cyclic_group, pair_groupoid
 from glv.reports import Violation
 from glv.twocat import (
+    Fin2Cat,
     Fin2Groupoid,
     delooping,
     find_quasi_inverse,
@@ -262,3 +263,88 @@ def test_law_stage_matches_the_reference(name, edits):
     with patch.object(twocat, "_2category_laws", reference_2category_laws):
         want = verify_fin2cat(c)
     assert verify_fin2cat(c) == want
+
+
+def _one_object_table(vertical, horizontal, unit):
+    """One object, one arrow and the cells under two tables, unchecked: unlike
+    delooping and monoid_delooping, interchange may fail."""
+    return Fin2Cat(
+        objects=("*",),
+        arrows={"id": ("*", "*")},
+        cells={a: ("id", "id") for a, _ in vertical},
+        comp1={("id", "id"): "id"},
+        hcomp=dict(horizontal),
+        vcomp=dict(vertical),
+        unit_arrow={"*": "id"},
+        unit_cell={"id": unit},
+    )
+
+
+def _unital_monoids(m):
+    """Every associative table on the names 0, ..., m-1 with unit 0."""
+    els = [str(i) for i in range(m)]
+    free = [(a, b) for a in els[1:] for b in els[1:]]
+    unit = {(a, "0"): a for a in els} | {("0", a): a for a in els}
+    for values in product(els, repeat=len(free)):
+        mul = unit | dict(zip(free, values))
+        if all(mul[(mul[(a, b)], c)] == mul[(a, mul[(b, c)])] for a, b, c in product(els, repeat=3)):
+            yield mul
+
+
+def _reference_verdict(c):
+    with patch.object(twocat, "_2category_laws", reference_2category_laws):
+        return verify_fin2cat(c)
+
+
+def test_interchange_alone_fails_over_s3_and_the_loop_names_its_sites():
+    # S3 under both compositions: every other law holds, so the law stage
+    # tries the whiskers first, finds them failing and runs the loop
+    els, mul, unit = s3_table()
+    c = _one_object_table(mul, mul, unit)
+    report = verify_fin2cat(c)
+    assert report and {v.law for v in report} == {"interchange"}
+    assert report == _reference_verdict(c)
+
+
+def test_whiskers_decide_interchange_as_the_loop_on_monoid_pairs():
+    # a vertical and a horizontal unital monoid on 2 or 3 cells: only
+    # interchange can fail, and it must fail at the loop's sites
+    tables = [(v, h) for m in (2, 3) for v in _unital_monoids(m) for h in _unital_monoids(m)]
+    failing = 0
+    for v, h in tables:
+        c = _one_object_table(v, h, "0")
+        want = _reference_verdict(c)
+        assert verify_fin2cat(c) == want
+        failing += bool(want)
+    assert (len(tables), failing) == (125, 114)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_whiskering_that_breaks_vertical_composites_fails_interchange(side):
+    # one object, arrows 1 and an idempotent g; over g the cells e, a, z
+    # compose vertically as Z/2 = {e, a} with an absorbing z, and s o r is
+    # the right whisker of s (or the left one of r), which sends z to e.
+    # Each horizontal composite equals its whisker composites, but that
+    # whiskering does not preserve a * z = z, so interchange fails where only
+    # (b) of the law stage sees it
+    over_g = ("e", "a", "z")
+    times = {("e", x): x for x in over_g} | {(x, "e"): x for x in over_g}
+    times |= {("a", "a"): "e", ("a", "z"): "z", ("z", "a"): "z", ("z", "z"): "z"}
+    whisker = {"e": "e", "a": "a", "z": "e"}
+    c = Fin2Cat(
+        objects=("*",),
+        arrows={"1": ("*", "*"), "g": ("*", "*")},
+        cells={"i": ("1", "1"), **{x: ("g", "g") for x in over_g}},
+        comp1={("1", "1"): "1", ("1", "g"): "g", ("g", "1"): "g", ("g", "g"): "g"},
+        hcomp={("i", "i"): "i", **{(x, "i"): x for x in over_g}, **{("i", x): x for x in over_g}}
+        | {(s, r): whisker[s if side == "right" else r] for s in over_g for r in over_g},
+        vcomp={("i", "i"): "i", **times},
+        unit_arrow={"*": "1"},
+        unit_cell={"1": "i", "g": "e"},
+    )
+    for s, r in product(over_g, repeat=2):
+        right, left = c.hcomp[(s, "e")], c.hcomp[("e", r)]
+        assert c.hcomp[(s, r)] == times[(right, left)] == times[(left, right)]
+    report = verify_fin2cat(c)
+    assert report and {v.law for v in report} == {"interchange"}
+    assert report == _reference_verdict(c)
