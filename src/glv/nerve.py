@@ -18,7 +18,9 @@ Weak index lookups fill in degeneracies: u_{i,i} is the identity arrow of
 u_i, and triangles with repeated indices are identity 2-cells.
 
 The code is generic over a handle, either finite tables (TableHandle) or the
-2-groupoid of 2-term chain complexes (GLHandle).
+2-groupoid of 2-term chain complexes (GLHandle).  Validation compares the two
+sides of a tetrahedron in the handle's cell view: over GL, by their homotopy
+matrices alone (see _validate_labels).
 """
 
 from __future__ import annotations
@@ -120,6 +122,10 @@ class TableHandle:
     def cells_between(self, f, g):
         return self.cat.cells_between(f, g)
 
+    def cell_view(self, tris: Mapping):
+        """The handle itself, with the cells as they are (see _validate_labels)."""
+        return self, tris
+
 
 class GLHandle:
     """Operations of the 2-groupoid of 2-term chain complexes."""
@@ -163,6 +169,24 @@ class GLHandle:
     def quasi_inverse(self, f):
         qi = gl2.quasi_inverse(f)
         return qi.inverse, qi.unit, qi.counit
+
+    def cell_view(self, tris: Mapping):
+        """_Homotopies, with each cell of tris as its homotopy matrix."""
+        return _Homotopies(), {t: r.r for t, r in tris.items()}
+
+
+class _Homotopies:
+    """The whiskers and vertical composite of gl2 on homotopy matrices alone,
+    without the arrows at their ends, for comparing parallel GL 2-cells."""
+
+    def vcompose(self, s, r):
+        return s + r
+
+    def whisker_left(self, g, r):
+        return g.a1 @ r
+
+    def whisker_right(self, r, f):
+        return r @ f.a0
 
 
 def _freeze(mapping: Mapping) -> tuple:
@@ -224,6 +248,8 @@ def triangle_of(handle, s: SimplexLabel, k: int, j: int, i: int):
 
 
 def _tetrahedron_sides(handle, edges: Mapping, tris: Mapping, quad):
+    """(u_{l,k} o u_{k,j,i}) * u_{l,k,i} and (u_{l,k,j} o u_{j,i}) * u_{l,j,i},
+    over a handle or, from _validate_labels, over its cell view."""
     l, k, j, i = quad
     lhs = handle.vcompose(handle.whisker_left(edges[(l, k)], tris[(k, j, i)]), tris[(l, k, i)])
     rhs = handle.vcompose(handle.whisker_right(tris[(l, k, j)], edges[(j, i)]), tris[(l, j, i)])
@@ -271,11 +297,23 @@ def validate_simplex(handle, s: SimplexLabel) -> list[Violation]:
 
 def _validate_labels(handle, s, keep) -> list[Violation]:
     """Edge endpoints, then triangle endpoints, then tetrahedra, at the faces
-    of s that keep accepts; each face reads only its own sub-faces."""
+    of s that keep accepts; each face reads only its own sub-faces.
+
+    Tetrahedra are compared in the handle's cell view, which is exact once the
+    endpoint stages passed (for a filler, also at its horn): both sides of
+    (l, k, j, i) then run from u_{l,i} to u_{l,k} . u_{k,j} . u_{j,i}, chain maps
+    composing associatively on the nose, and parallel GL 2-cells are equal
+    exactly when their homotopy matrices are."""
     vertices, edges, tris = s.vertices, s.edge_map(), s.triangle_map()
 
     def kept(labels: dict):
         return (item for item in labels.items() if keep(item[0]))
+
+    def tetrahedra():
+        view, cells = handle.cell_view(tris)
+        for quad in filter(keep, combinations(range(s.n, -1, -1), 4)):
+            if ne(*_tetrahedron_sides(view, edges, cells, quad)):
+                yield Violation("tetrahedron", quad)
 
     return gate(
         (
@@ -289,11 +327,7 @@ def _validate_labels(handle, s, keep) -> list[Violation]:
             if handle.cell_src(r) != edges[(k, i)]
             or handle.cell_tgt(r) != handle.compose(edges[(k, j)], edges[(j, i)])
         ),
-        (
-            Violation("tetrahedron", quad)
-            for quad in filter(keep, combinations(range(s.n, -1, -1), 4))
-            if ne(*_tetrahedron_sides(handle, edges, tris, quad))
-        ),
+        tetrahedra(),
     )
 
 

@@ -1,6 +1,10 @@
 """End-to-end runs of the command line tool over the fixture corpus."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +15,7 @@ from glv.documents import decode_ruth, dump_document, encode_ruth_morphism, load
 from glv.ruth import identity_morphism
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 VALID = [
     "groupoid_pair.json",
@@ -530,3 +535,39 @@ def test_fill_names_the_arrow_without_a_quasi_inverse(tmp_path):
     result = run("fill", path)
     assert result.exit_code == 1
     assert result.output == "no filler: quasi-inverse fails at ('f',)\n"
+
+
+def _child_env():
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+def test_importing_the_cli_loads_click_only_when_a_verb_runs():
+    script = "import sys, glv.cli; print('click' in sys.modules); glv.cli.main; print('click' in sys.modules)"
+    got = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert got.stdout.split() == ["False", "True"]
+
+
+def _address_space_of_100_mb():
+    # runs in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (100 * 2**20, 100 * 2**20))
+
+
+def test_running_out_of_memory_exits_2_with_one_error_line(tmp_path):
+    # glv nerve keeps the level below the top: at --level 5 on the delooping
+    # of Z/8 that is level 4, 262,144 simplices, far beyond 100 MB
+    path = tmp_path / "z8.json"
+    assert run("generate", "delooping", "--n", "8", "--out", path).exit_code == 0
+    got = subprocess.run(
+        [sys.executable, "-m", "glv.cli", "nerve", str(path), "--level", "5"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        preexec_fn=_address_space_of_100_mb,
+        timeout=60,
+    )
+    assert got.returncode == 2
+    assert got.stderr == ""
+    lines = got.stdout.splitlines()
+    assert lines[:4] == [f"level {lv}: {8 ** (lv * (lv - 1) // 2)} simplices" for lv in range(4)]
+    assert lines[4:] == ["error: out of memory"]

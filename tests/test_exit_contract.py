@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from glv.cli import main
 from glv.documents import decode_horn, decode_simplex, load_document
 from glv.nerve import GLHandle, TableHandle, horn_of, validate_simplex
+from helpers import reference_gl_violations
 
 FIXTURES = Path(__file__).parent / "fixtures"
 DOCUMENTS = {p.name: json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))}
@@ -105,6 +106,8 @@ def _run(scratch, name, plan, args):
         got, filled, cat = decode_simplex(load_document(result.output)[1])
         handle = GLHandle() if got == "gl" else TableHandle(cat)
         assert validate_simplex(handle, filled) == []
+        # over GL also by a check that shares no code with the validator
+        assert got != "gl" or reference_gl_violations(filled) == []
         assert horn_of(filled, horn.k) == horn
 
 

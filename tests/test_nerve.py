@@ -353,13 +353,14 @@ def _reference_horn(n: int, k: int) -> tuple[set, set, set]:
 
 
 # labels every edge and triangle by its own indices, so that every endpoint
-# check passes
+# check passes; like a TableHandle, it is its own cell view
 INDEX_HANDLE = SimpleNamespace(
     arrow_src=lambda f: f[1],
     arrow_tgt=lambda f: f[0],
     cell_src=lambda r: (r[0], r[2]),
     cell_tgt=lambda r: r,
     compose=lambda g, f: (*g, f[1]),
+    cell_view=lambda tris: (INDEX_HANDLE, tris),
 )
 
 
